@@ -16,22 +16,11 @@
 //! wide windows dominate the dual-window path while the gapless active
 //! arrays stay small. The event sweep must beat `dual_window_sweep` by
 //! ≥2× here (same BENCH_JSON trend gate).
-//!
-//! `schedule_bench` drives the whole engine (map → shuffle → reduce) on a
-//! skewed clique bucket mix — one dominant hot bucket plus a light tail —
-//! under each intra-reduce grant policy. The skew-driven scheduler should
-//! beat the uniform split on the reduce makespan at 8 worker threads
-//! (target ≥1.3×, checked in CI via the BENCH_JSON trend; not asserted at
-//! runtime since single-core hosts cannot show it). Outputs are verified
-//! byte-identical across policies before timing.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ij_core::executor::Candidates;
-use ij_core::kernel::{self, KernelConfig};
+use ij_core::kernel;
 use ij_interval::{Interval, TupleId};
-use ij_mapreduce::{
-    ClusterConfig, CostModel, Emitter, Engine, ReduceCtx, SchedConfig, SchedPolicy, ValueStream,
-};
 use ij_query::JoinQuery;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,18 +150,7 @@ fn bench_overlap_heavy(c: &mut Criterion) {
     group.bench_function("dispatching_kernel", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::execute_serial(&q, &cands, |_| true, |_| *count += 1);
-            })
-        })
-    });
-    group.bench_function("dispatching_kernel_parallel4", |b| {
-        let cfg = KernelConfig {
-            threads: 4,
-            parallel_threshold: 0,
-        };
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::execute(&q, &cands, &cfg, |_| true, |_| *count += 1);
+                kernel::execute(&q, &cands, |_| true, |_| *count += 1);
             })
         })
     });
@@ -201,7 +179,7 @@ fn bench_sequence_heavy(c: &mut Criterion) {
     group.bench_function("dispatching_kernel", |b| {
         b.iter(|| {
             let mut count = 0u64;
-            kernel::execute_serial(&q, &cands, |_| true, |_| count += 1);
+            kernel::execute(&q, &cands, |_| true, |_| count += 1);
             assert_eq!(count, expect);
             criterion::black_box(count)
         })
@@ -321,123 +299,6 @@ fn bench_event_sweep(c: &mut Criterion) {
             })
         })
     });
-    group.bench_function("event_sweep_parallel4", |b| {
-        let cfg = KernelConfig {
-            threads: 4,
-            parallel_threshold: 0,
-        };
-        b.iter(|| {
-            count_with(&|count| {
-                kernel::execute(&q, &cands, &cfg, |_| true, |_| *count += 1);
-            })
-        })
-    });
-    group.finish();
-}
-
-/// One record of the scheduler workload: (reduce bucket, relation,
-/// interval endpoints). Bucket 0 carries a `clique_bucket`-shaped heavy
-/// mix; the tail buckets get the same shape scaled down ~30×, so the
-/// reduce makespan is set by when bucket 0 starts and how many threads it
-/// holds — exactly what the grant policy controls.
-fn skewed_clique_records(light_buckets: u64, seed: u64) -> Vec<(u64, u32, (i64, i64))> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let lens = [30i64..90, 15..60, 0..25];
-    let mut recs = Vec::new();
-    let mut emit_bucket = |rng: &mut StdRng, bucket: u64, counts: [usize; 3], span: i64| {
-        for (r, n) in counts.into_iter().enumerate() {
-            for _ in 0..n {
-                let s = rng.gen_range(0..span);
-                let e = s + rng.gen_range(lens[r].clone());
-                recs.push((bucket, r as u32, (s, e)));
-            }
-        }
-    };
-    emit_bucket(&mut rng, 0, [1200, 800, 400], 4000);
-    for b in 1..=light_buckets {
-        emit_bucket(&mut rng, b, [40, 26, 14], 400);
-    }
-    recs
-}
-
-/// Runs the clique join over the skewed bucket mix through the engine
-/// under `policy`, returning per-bucket match counts (key order).
-fn run_scheduled(
-    engine: &Engine,
-    q: &JoinQuery,
-    input: &[(u64, u32, (i64, i64))],
-) -> Vec<(u64, u64)> {
-    engine
-        .run_job(
-            "schedule-bench",
-            input,
-            |&(b, r, iv): &(u64, u32, (i64, i64)), e: &mut Emitter<(u32, (i64, i64))>| {
-                e.emit(b, (r, iv));
-            },
-            |ctx: &mut ReduceCtx,
-             vs: &mut ValueStream<(u32, (i64, i64))>,
-             out: &mut Vec<(u64, u64)>| {
-                let mut cands = Candidates::new(3);
-                let mut next_id = [0 as TupleId; 3];
-                for (r, (s, e)) in vs.by_ref() {
-                    let r = r as usize;
-                    cands.push(r, iv(s, e), next_id[r]);
-                    next_id[r] += 1;
-                }
-                cands.finish();
-                let mut count = 0u64;
-                kernel::reduce_join(ctx, q, &cands, |_| true, |_| count += 1);
-                out.push((ctx.key, count));
-            },
-        )
-        .expect("schedule bench job runs")
-        .outputs
-}
-
-fn sched_engine(policy: SchedPolicy) -> Engine {
-    Engine::new(ClusterConfig {
-        reducer_slots: 4,
-        worker_threads: 8,
-        intra_reduce_threads: 8,
-        // Well under the hot bucket's 2,400 pairs and above the light
-        // buckets' 80, so exactly one bucket is classified heavy and the
-        // kernel's intra-bucket parallelism engages on it.
-        heavy_bucket_threshold: 1000,
-        reduce_memory_budget: None,
-        sched: SchedConfig::with_policy(policy),
-        cost: CostModel::default(),
-    })
-}
-
-fn bench_schedule(c: &mut Criterion) {
-    let q = clique3();
-    let input = skewed_clique_records(15, 17);
-    let policies = [
-        SchedPolicy::Uniform,
-        SchedPolicy::SkewDriven,
-        SchedPolicy::AllSerial,
-    ];
-    // The scheduler contract before any timing: every policy produces the
-    // same bytes, and the mix really joins.
-    let expect = run_scheduled(&sched_engine(SchedPolicy::AllSerial), &q, &input);
-    assert!(expect.iter().any(|&(_, n)| n > 0), "clique mix too sparse");
-    for policy in policies {
-        assert_eq!(
-            run_scheduled(&sched_engine(policy), &q, &input),
-            expect,
-            "policy {policy} changed output bytes"
-        );
-    }
-
-    let mut group = c.benchmark_group("schedule_bench");
-    group.throughput(Throughput::Elements(input.len() as u64));
-    group.sample_size(10);
-    for policy in policies {
-        let engine = sched_engine(policy);
-        group.bench_function(policy.name(), |b| {
-            b.iter(|| criterion::black_box(run_scheduled(&engine, &q, &input)))
-        });
-    }
     group.finish();
 }
 
@@ -445,7 +306,6 @@ criterion_group!(
     benches,
     bench_overlap_heavy,
     bench_sequence_heavy,
-    bench_event_sweep,
-    bench_schedule
+    bench_event_sweep
 );
 criterion_main!(benches);

@@ -266,6 +266,37 @@ mod tests {
         assert_eq!((n, sweep), (1, 1.0), "matched group still compared");
     }
 
+    /// Ids present only in the baseline — benchmarks deleted since, such
+    /// as the `*_parallel4` chunked-kernel runs and the `schedule_bench`
+    /// group — are ignored, while the surviving ids of the same groups
+    /// are still gated.
+    #[test]
+    fn ids_missing_from_current_are_ignored() {
+        let base = parse_summary(
+            "{\"id\":\"kernel_overlap_heavy/dispatching_kernel\",\"mean_ns\":1000,\"iters\":10}\n\
+             {\"id\":\"kernel_overlap_heavy/dispatching_kernel_parallel4\",\"mean_ns\":10,\"iters\":10}\n\
+             {\"id\":\"kernel_event_sweep/event_sweep\",\"mean_ns\":5000,\"iters\":10}\n\
+             {\"id\":\"kernel_event_sweep/event_sweep_parallel4\",\"mean_ns\":50,\"iters\":10}\n\
+             {\"id\":\"schedule_bench/uniform\",\"mean_ns\":9000,\"iters\":10}\n\
+             {\"id\":\"schedule_bench/skew\",\"mean_ns\":9000,\"iters\":10}\n",
+        );
+        let cur = parse_summary(
+            "{\"id\":\"kernel_overlap_heavy/dispatching_kernel\",\"mean_ns\":2000,\"iters\":10}\n\
+             {\"id\":\"kernel_event_sweep/event_sweep\",\"mean_ns\":5000,\"iters\":10}\n",
+        );
+        let r = group_ratios(&base, &cur);
+        assert!(
+            !r.contains_key("schedule_bench"),
+            "deleted group must not be gated: {r:?}"
+        );
+        // Only the surviving id of each group forms the ratio, so the 2x
+        // slowdown is still caught by the default 25% threshold.
+        let (overlap, n) = r["kernel_overlap_heavy"];
+        assert_eq!((n, overlap), (1, 2.0), "surviving id still gated");
+        let (event, n) = r["kernel_event_sweep"];
+        assert_eq!((n, event), (1, 1.0));
+    }
+
     #[test]
     fn malformed_lines_are_skipped() {
         let src = "not json at all\n\

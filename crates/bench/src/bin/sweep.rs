@@ -17,7 +17,7 @@
 //!
 //! Run: `cargo run --release -p ij-bench --bin sweep [--scale f]`.
 
-use ij_bench::report::{fmt_phases, fmt_sched, fmt_sim, fmt_spill, telemetry_note, Report};
+use ij_bench::report::{fmt_phases, fmt_sim, fmt_spill, telemetry_note, Report};
 use ij_bench::scale::BenchArgs;
 use ij_bench::scenarios::{
     assert_same_output, instrumented_engine, measure, write_metrics, write_trace,
@@ -41,7 +41,6 @@ fn main() {
         args.trace.is_some(),
         args.budget,
         args.metrics_out.is_some(),
-        args.sched,
     );
 
     // ---- 1. Distribution sweep on Q1 ---------------------------------------
@@ -57,7 +56,6 @@ fn main() {
             "repl RCCIS",
             "output",
             "spill RCCIS",
-            "sched RCCIS",
         ],
     );
     let n = args.scale.apply(1_000_000);
@@ -70,10 +68,6 @@ fn main() {
         )),
         None => rep.note("reduce memory budget unlimited — no spilling"),
     }
-    rep.note(format!(
-        "intra-reduce scheduler {} (sched col: granted threads/heavy buckets, - if all-serial)",
-        args.sched
-    ));
     for (name, ds) in [
         ("uniform", Distribution::Uniform),
         ("normal", Distribution::Normal),
@@ -144,7 +138,6 @@ fn main() {
             rc.replicated.unwrap_or(0).into(),
             rc.output.into(),
             fmt_spill(&rc.counters, rc.spill_secs).into(),
-            fmt_sched(&rc.counters).into(),
         ]);
     }
     rep.finish(None);

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p ij-bench --bin table1 [--scale f]`.
 
 use ij_bench::report::{
-    fmt_phases, fmt_sched, fmt_sim, fmt_spill, skew_report_table, skew_row, telemetry_note, Report,
+    fmt_phases, fmt_sim, fmt_spill, skew_report_table, skew_row, telemetry_note, Report,
 };
 use ij_bench::scale::BenchArgs;
 use ij_bench::scenarios::{
@@ -33,7 +33,6 @@ fn main() {
         args.trace.is_some(),
         args.budget,
         args.metrics_out.is_some(),
-        args.sched,
     );
     let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
     let paper_sizes: [u64; 4] = [500_000, 750_000, 1_000_000, 1_250_000];
@@ -59,7 +58,6 @@ fn main() {
             "output",
             "RCCIS m/s/r",
             "spill RCCIS",
-            "sched RCCIS",
         ],
     );
     report.note(format!(
@@ -73,10 +71,6 @@ fn main() {
         )),
         None => report.note("reduce memory budget unlimited — no spilling"),
     }
-    report.note(format!(
-        "intra-reduce scheduler {} (sched col: granted threads/heavy buckets, - if all-serial)",
-        args.sched
-    ));
 
     for (i, &paper_n) in paper_sizes.iter().enumerate() {
         let n = args.scale.apply(paper_n);
@@ -151,7 +145,6 @@ fn main() {
             rc.output.into(),
             fmt_phases(rc.map_secs, rc.shuffle_secs, rc.reduce_secs).into(),
             fmt_spill(&rc.counters, rc.spill_secs).into(),
-            fmt_sched(&rc.counters).into(),
         ]);
         eprintln!(
             "  nI={n}: wall 2wCd {:.2}s, AllRep {:.2}s, RCCIS {:.2}s (RCCIS map/shuffle/reduce {}, spill {})",

@@ -230,21 +230,6 @@ pub fn fmt_spill(counters: &Counters, spill_secs: f64) -> String {
     }
 }
 
-/// Formats one measurement's intra-reduce scheduling activity from its
-/// `sched.*` counters: `-` when no reduce phase deviated from one thread
-/// per bucket (all grants serial, nothing classified heavy), else
-/// `"<granted threads>g/<heavy buckets>h"`. Granted threads sum over
-/// every bucket of every MR cycle, so `g` exceeding the bucket count
-/// means some bucket really ran multi-threaded.
-pub fn fmt_sched(counters: &Counters) -> String {
-    let grants = counters.get(names::SCHED_GRANTS);
-    if grants == 0 {
-        "-".to_string()
-    } else {
-        format!("{}g/{}h", grants, counters.get(names::SCHED_HEAVY_BUCKETS))
-    }
-}
-
 fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.2}s")
@@ -362,15 +347,6 @@ mod tests {
         c.inc("spill.bytes", 4096);
         let s = fmt_spill(&c, 0.25);
         assert!(s.starts_with("2b/5r/4096B"), "{s}");
-    }
-
-    #[test]
-    fn fmt_sched_shows_dash_without_grants() {
-        let mut c = Counters::new();
-        assert_eq!(fmt_sched(&c), "-");
-        c.inc("sched.grants", 21);
-        c.inc("sched.heavy_buckets", 2);
-        assert_eq!(fmt_sched(&c), "21g/2h");
     }
 
     #[test]

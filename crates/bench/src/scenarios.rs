@@ -1,7 +1,7 @@
 //! Shared measurement plumbing for the per-table/figure binaries.
 
 use ij_core::{Algorithm, JoinInput, JoinOutput};
-use ij_mapreduce::{ClusterConfig, Counters, Engine, SchedConfig, SchedPolicy, Telemetry, Tracer};
+use ij_mapreduce::{ClusterConfig, Counters, Engine, Telemetry, Tracer};
 use ij_query::JoinQuery;
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,8 +57,7 @@ pub fn traced_engine(
     traced: bool,
     budget: Option<u64>,
 ) -> (Engine, Option<Arc<Tracer>>) {
-    let (engine, tracer, _) =
-        instrumented_engine(slots, traced, budget, false, SchedPolicy::default());
+    let (engine, tracer, _) = instrumented_engine(slots, traced, budget, false);
     (engine, tracer)
 }
 
@@ -67,19 +66,15 @@ pub fn traced_engine(
 /// config) is attached to the engine, accumulating progress gauges,
 /// histograms and flight-recorder events across every job run. Dump the
 /// final snapshot with [`write_metrics`] — the `--metrics-out <path>`
-/// path of the bench binaries. `sched` selects the intra-reduce grant
-/// policy (the `--sched` flag); output bytes are policy-invariant, so the
-/// tables only move in wall-clock and the `sched.*` counters.
+/// path of the bench binaries.
 pub fn instrumented_engine(
     slots: usize,
     traced: bool,
     budget: Option<u64>,
     metrics: bool,
-    sched: SchedPolicy,
 ) -> (Engine, Option<Arc<Tracer>>, Option<Arc<Telemetry>>) {
     let mut engine = Engine::new(ClusterConfig {
         reduce_memory_budget: budget,
-        sched: SchedConfig::with_policy(sched),
         ..ClusterConfig::with_slots(slots)
     });
     let tracer = if traced {
@@ -241,7 +236,7 @@ mod tests {
 
     #[test]
     fn instrumented_engine_collects_telemetry_and_writes_prometheus() {
-        let (e, _, telemetry) = instrumented_engine(4, false, None, true, SchedPolicy::default());
+        let (e, _, telemetry) = instrumented_engine(4, false, None, true);
         assert!(telemetry.is_some());
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let input = JoinInput::bind_owned(
@@ -268,7 +263,7 @@ mod tests {
         assert!(written.contains("ij_telemetry_stragglers"));
         let _ = std::fs::remove_file(&path);
 
-        let (_, _, no_tel) = instrumented_engine(4, false, None, false, SchedPolicy::Uniform);
+        let (_, _, no_tel) = instrumented_engine(4, false, None, false);
         assert!(no_tel.is_none());
         write_metrics(None, &no_tel); // no-op must not panic
     }

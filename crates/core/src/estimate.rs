@@ -200,16 +200,18 @@ pub enum AlgoFamily {
 /// output-linear, the event sweep touches each candidate once per merged
 /// event plus gapless-array scans, sort-merge pays one windowed merge pass,
 /// the dual-window scan filters the narrower of two windows, and
-/// backtracking re-checks every predicate per candidate. Planning code
-/// multiplies reducer-side work estimates by this factor so colocation
-/// reducers are no longer priced at backtracking cost — which previously
-/// made [`auto_tune`] over-partition sweep-friendly queries.
+/// backtracking re-checks every predicate per candidate. Its one
+/// consumer is [`auto_tune`], which scales its reducer target by this
+/// factor so colocation reducers are not priced at backtracking cost —
+/// which previously made it over-partition sweep-friendly queries.
 pub fn kernel_work_multiplier(q: &JoinQuery) -> f64 {
     use crate::kernel::KernelStrategy::*;
     match crate::kernel::planned_kernel(q) {
         // kernel_event_sweep measures the event sweep ~2.9× faster than
         // the dual-window scan on an overlap-heavy clique (4.8ms vs
         // 13.7ms vs 10.9ms backtracking), hence 0.12 ≈ 0.35 × (4.8/13.7).
+        // The same run has the dual window slower than backtracking, so
+        // its 0.35 is not backed by that measurement.
         PairSweep => 0.06,
         EventSweep => 0.12,
         SortMerge => 0.25,

@@ -205,7 +205,7 @@ pub fn join_single_attr(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> u64 {
-    crate::kernel::execute_serial(q, cands, accept, on_output).work
+    crate::kernel::execute(q, cands, accept, on_output).work
 }
 
 /// General multi-attribute backtracking join over full tuples.

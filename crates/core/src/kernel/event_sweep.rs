@@ -27,14 +27,6 @@
 //! intersection to indirectly-connected pairs. Overlaps *chains* famously
 //! do not qualify (`[0,10] ov [5,15] ov [12,20]` has no common point) and
 //! stay on the dual-window sweep.
-//!
-//! **Deterministic chunking.** The outer positions are event indices. A
-//! chunk first replays its prefix events (appends and swap-removes only —
-//! no probing, no work charged), reconstructing the exact active-array
-//! contents *and order* at its start boundary, then processes its own
-//! range. Active state at event `i` is a pure function of `events[..i]`,
-//! so chunked emission is byte-identical to the serial order and `work` /
-//! `active_peak` are chunk-invariant for every thread count.
 
 use super::ranges::range_pair;
 use super::scratch::with_scratch;
@@ -42,7 +34,6 @@ use super::{Emit, RangePair};
 use crate::executor::Candidates;
 use ij_interval::{AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
-use std::ops::Range;
 
 /// Sentinel for "tuple not currently active" in the position index.
 const INACTIVE: u32 = u32::MAX;
@@ -134,8 +125,7 @@ struct Program {
     checks: Vec<Vec<(usize, AllenPredicate)>>,
 }
 
-/// Precomputed event-sweep structures for one bucket, shared (read-only)
-/// across parallel chunks.
+/// Precomputed event-sweep structures for one bucket.
 #[derive(Debug)]
 pub(crate) struct EventSweepPlan {
     /// All relations' endpoints, merged and sorted.
@@ -238,19 +228,11 @@ impl EventSweepPlan {
         }
     }
 
-    /// Chunkable outer positions: one per merged event.
-    pub(crate) fn outer_len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Processes `outer` event positions after replaying the prefix
-    /// events to reconstruct the active-array state at the chunk
-    /// boundary. `active_peak` is raised to the maximum total active
-    /// occupancy observed over the owned range.
+    /// Walks every event once. `active_peak` is raised to the maximum
+    /// total active occupancy observed.
     pub(crate) fn run(
         &self,
         cands: &Candidates,
-        outer: Range<usize>,
         emit: &mut Emit<'_>,
         work: &mut u64,
         active_peak: &mut u64,
@@ -267,11 +249,7 @@ impl EventSweepPlan {
             s.reset_assignment(m);
             let (active, pos, assignment) = (&mut s.active, &mut s.pos, &mut s.assignment);
             let mut occupancy = 0u64;
-            // Prefix replay: state only, no probing, no work charged.
-            for e in &self.events[..outer.start] {
-                occupancy = apply(e, cands, active, pos, occupancy);
-            }
-            for e in &self.events[outer] {
+            for e in &self.events {
                 occupancy = apply(e, cands, active, pos, occupancy);
                 *active_peak = (*active_peak).max(occupancy);
                 if e.end || !self.probe[e.rel as usize] {

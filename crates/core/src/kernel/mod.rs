@@ -26,16 +26,11 @@
 //! performance decision — property-tested to produce identical result
 //! sets.
 //!
-//! **Heavy-bucket intra-reducer parallelism.** When a bucket's candidate
-//! count reaches the configured threshold, [`execute`] splits the level-0
-//! outer iteration into contiguous chunks across a bounded worker pool and
-//! concatenates the per-chunk outputs in chunk order. Because every kernel
-//! emits along a fixed outer order (and the pair sweep's retirement state
-//! is a function of the current outer interval only), the merged output is
-//! byte-identical to the serial run for any thread count, and reported
-//! work units are chunk-invariant. The owner-`accept` filter runs inside
-//! the workers; the `on_output` sink is only ever called on the caller's
-//! thread.
+//! **One serial call per bucket.** Each reduce worker runs its bucket's
+//! kernel on its own thread, like a Hadoop reduce task; parallelism comes
+//! only from the engine running several reducers at once. The `accept`
+//! owner filter and the `on_output` sink are both called inline, in the
+//! kernel's fixed emission order.
 //!
 //! **Streaming reducers.** Since the memory-budgeted reduce pipeline,
 //! reducers receive their bucket as a pull-based
@@ -59,9 +54,6 @@ use ij_interval::{AllenPredicate, Interval, TupleId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::ReduceCtx;
 use ij_query::{JoinQuery, QueryClass};
-use std::any::Any;
-use std::ops::Range;
-use std::panic::resume_unwind;
 
 /// Sink for complete bindings: one `(interval, tuple)` slot per relation,
 /// in query order.
@@ -147,42 +139,12 @@ pub fn planned_kernel(q: &JoinQuery) -> KernelStrategy {
 pub struct KernelReport {
     /// The kernel the dispatcher chose.
     pub kind: KernelKind,
-    /// Work units spent (candidates examined), chunk-invariant.
+    /// Work units spent (candidates examined).
     pub work: u64,
-    /// Outer chunks executed (1 = serial).
-    pub parallel_chunks: usize,
     /// Maximum total active-array occupancy the event sweep observed
-    /// (0 for the other kernels), chunk-invariant — the direct input for
-    /// skew-driven intra-reduce budgeting.
+    /// (0 for the other kernels): the bucket's peak concurrent-interval
+    /// count, a direct measure of its skew.
     pub active_peak: u64,
-}
-
-/// Execution knobs for [`execute`]; reducers derive theirs from the
-/// engine via [`reduce_join`].
-#[derive(Debug, Clone, Copy)]
-pub struct KernelConfig {
-    /// Maximum worker threads for one bucket (1 disables parallelism).
-    pub threads: usize,
-    /// Total candidate count at which a bucket becomes "heavy" and may be
-    /// split across the worker pool.
-    pub parallel_threshold: usize,
-}
-
-impl KernelConfig {
-    /// Strictly serial execution. Predicate-class independent: every
-    /// kernel accepts a serial config.
-    pub fn serial() -> KernelConfig {
-        KernelConfig {
-            threads: 1,
-            parallel_threshold: usize::MAX,
-        }
-    }
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig::serial()
-    }
 }
 
 /// Routes a condition set to its kernel.
@@ -238,308 +200,88 @@ impl Compiled {
     }
 }
 
-/// One prepared bucket: everything the chunk runner needs, immutable.
-struct Prepared {
+/// Runs `kind` over the whole bucket, filtering bindings through
+/// `accept` before `on_output`; returns `(work, active_peak)`.
+fn run(
     kind: KernelKind,
-    compiled: Compiled,
-    sweep: Option<sweep::SweepPlan>,
-    event: Option<event_sweep::EventSweepPlan>,
-    outer_len: usize,
-    total: usize,
-}
-
-fn prepare(q: &JoinQuery, cands: &Candidates, kind: KernelKind) -> Option<Prepared> {
+    q: &JoinQuery,
+    cands: &Candidates,
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
+    mut on_output: impl FnMut(&[(Interval, TupleId)]),
+) -> (u64, u64) {
     assert!(
         cands.is_sorted(),
         "Candidates::finish must be called before joining"
     );
     if cands.any_empty() {
-        return None;
+        return (0, 0);
     }
-    let m = q.num_relations() as usize;
     let compiled = Compiled::new(q, |r| cands.len(r));
-    let sweep = (kind == KernelKind::Sweep).then(|| sweep::SweepPlan::new(q, cands, &compiled));
-    let event =
-        (kind == KernelKind::EventSweep).then(|| event_sweep::EventSweepPlan::new(q, cands));
-    let outer_len = match (&sweep, &event) {
-        (Some(p), _) => p.outer_len(cands, &compiled),
-        (_, Some(p)) => p.outer_len(),
-        _ => cands.len(compiled.order[0]),
+    let mut work = 0u64;
+    let mut active_peak = 0u64;
+    let emit: &mut Emit<'_> = &mut |a| {
+        if accept(a) {
+            on_output(a)
+        }
     };
-    let total = (0..m).map(|r| cands.len(r)).sum();
-    Some(Prepared {
-        kind,
-        compiled,
-        sweep,
-        event,
-        outer_len,
-        total,
-    })
-}
-
-fn run_range(
-    prep: &Prepared,
-    cands: &Candidates,
-    outer: Range<usize>,
-    emit: &mut Emit<'_>,
-    work: &mut u64,
-    active_peak: &mut u64,
-) {
-    match prep.kind {
-        KernelKind::Backtrack => backtrack::run(cands, &prep.compiled, outer, emit, work),
-        KernelKind::SortMerge => sort_merge::run(cands, &prep.compiled, outer, emit, work),
-        KernelKind::Sweep => prep.sweep.as_ref().expect("sweep plan prepared").run(
-            cands,
-            &prep.compiled,
-            outer,
-            emit,
-            work,
-        ),
-        KernelKind::EventSweep => prep.event.as_ref().expect("event sweep plan prepared").run(
-            cands,
-            outer,
-            emit,
-            work,
-            active_peak,
-        ),
+    match kind {
+        KernelKind::Backtrack => backtrack::run(cands, &compiled, emit, &mut work),
+        KernelKind::SortMerge => sort_merge::run(cands, &compiled, emit, &mut work),
+        KernelKind::Sweep => {
+            sweep::SweepPlan::new(q, cands, &compiled).run(cands, &compiled, emit, &mut work)
+        }
+        KernelKind::EventSweep => {
+            event_sweep::EventSweepPlan::new(q, cands).run(cands, emit, &mut work, &mut active_peak)
+        }
     }
+    (work, active_peak)
 }
 
-/// Dispatching kernel execution, serial only (no `Sync` bound on
-/// `accept`). Precondition: any single-attribute query — the dispatcher
-/// routes colocation condition sets to the sweep, sequence sets to
-/// sort-merge and mixed Allen sets to the backtracking fallback.
+/// Dispatching kernel execution. Precondition: any single-attribute
+/// query — the dispatcher routes colocation condition sets to the sweep,
+/// sequence sets to sort-merge and mixed Allen sets to the backtracking
+/// fallback.
 ///
 /// `executor::join_single_attr` delegates here, so the whole algorithm
 /// suite picks the kernels up without signature changes.
-pub fn execute_serial(
+pub fn execute(
     q: &JoinQuery,
     cands: &Candidates,
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    mut on_output: impl FnMut(&[(Interval, TupleId)]),
+    on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> KernelReport {
     let kind = choose(q);
-    let Some(prep) = prepare(q, cands, kind) else {
-        return KernelReport {
-            kind,
-            work: 0,
-            parallel_chunks: 1,
-            active_peak: 0,
-        };
-    };
-    let mut work = 0u64;
-    let mut active_peak = 0u64;
-    run_range(
-        &prep,
-        cands,
-        0..prep.outer_len,
-        &mut |a| {
-            if accept(a) {
-                on_output(a)
-            }
-        },
-        &mut work,
-        &mut active_peak,
-    );
+    let (work, active_peak) = run(kind, q, cands, accept, on_output);
     KernelReport {
         kind,
         work,
-        parallel_chunks: 1,
         active_peak,
     }
 }
 
-/// Dispatching kernel execution with heavy-bucket parallelism.
-/// Precondition: any single-attribute query (same predicate-class
-/// routing as [`execute_serial`]).
-///
-/// When the bucket's total candidate count reaches
-/// `cfg.parallel_threshold` and `cfg.threads > 1`, the outer iteration is
-/// chunked across a scoped worker pool; `accept` runs inside the workers
-/// (hence the `Sync` bound) while `on_output` observes the chunk-ordered
-/// concatenation on the calling thread — byte-identical to the serial
-/// emission order for every thread count.
-pub fn execute<A, F>(
-    q: &JoinQuery,
-    cands: &Candidates,
-    cfg: &KernelConfig,
-    accept: A,
-    mut on_output: F,
-) -> KernelReport
-where
-    A: Fn(&[(Interval, TupleId)]) -> bool + Sync,
-    F: FnMut(&[(Interval, TupleId)]),
-{
-    let kind = choose(q);
-    let Some(prep) = prepare(q, cands, kind) else {
-        return KernelReport {
-            kind,
-            work: 0,
-            parallel_chunks: 1,
-            active_peak: 0,
-        };
-    };
-    let threads = if prep.total >= cfg.parallel_threshold {
-        cfg.threads.min(prep.outer_len).max(1)
-    } else {
-        1
-    };
-    if threads <= 1 {
-        let mut work = 0u64;
-        let mut active_peak = 0u64;
-        run_range(
-            &prep,
-            cands,
-            0..prep.outer_len,
-            &mut |a| {
-                if accept(a) {
-                    on_output(a)
-                }
-            },
-            &mut work,
-            &mut active_peak,
-        );
-        return KernelReport {
-            kind,
-            work,
-            parallel_chunks: 1,
-            active_peak,
-        };
-    }
-
-    let chunk = prep.outer_len.div_ceil(threads);
-    let ranges: Vec<Range<usize>> = (0..threads)
-        .map(|t| (t * chunk)..((t + 1) * chunk).min(prep.outer_len))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let m = prep.compiled.order.len();
-    let prep_ref = &prep;
-    let accept_ref = &accept;
-    // Per chunk: (work units, active peak, buffered accepted rows).
-    type ChunkResult = (u64, u64, Vec<(Interval, TupleId)>);
-    let mut chunk_results: Vec<ChunkResult> = Vec::with_capacity(ranges.len());
-    let mut panic_payload: Option<Box<dyn Any + Send>> = None;
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .cloned()
-            .map(|r| {
-                scope.spawn(move |_| {
-                    let mut work = 0u64;
-                    let mut peak = 0u64;
-                    let mut buf: Vec<(Interval, TupleId)> = Vec::new();
-                    run_range(
-                        prep_ref,
-                        cands,
-                        r,
-                        &mut |a| {
-                            if accept_ref(a) {
-                                buf.extend_from_slice(a);
-                            }
-                        },
-                        &mut work,
-                        &mut peak,
-                    );
-                    (work, peak, buf)
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(res) => chunk_results.push(res),
-                Err(p) => {
-                    panic_payload.get_or_insert(p);
-                }
-            }
-        }
-    })
-    .unwrap_or_else(|p| resume_unwind(p));
-    if let Some(p) = panic_payload {
-        resume_unwind(p);
-    }
-
-    let parallel_chunks = chunk_results.len();
-    let mut work = 0u64;
-    // Per-chunk peaks are maxima of the same per-event occupancy series
-    // the serial run observes, so their maximum is chunk-invariant.
-    let mut active_peak = 0u64;
-    for (w, peak, buf) in &chunk_results {
-        work += w;
-        active_peak = active_peak.max(*peak);
-        for a in buf.chunks_exact(m) {
-            on_output(a);
-        }
-    }
-    KernelReport {
-        kind,
-        work,
-        parallel_chunks,
-        active_peak,
-    }
-}
-
-/// Runs a bucket inside a reducer: derives the [`KernelConfig`] from the
-/// engine's per-bucket thread budget, reports the work units to the cost
-/// model and maintains the `kernel.*` counters. Algorithm call sites use
-/// this instead of raw `join_single_attr`. Precondition: any
-/// single-attribute query; the dispatcher picks the kernel by predicate
-/// class.
-pub fn reduce_join<A, F>(
+/// Runs a bucket inside a reducer: executes the dispatching kernel,
+/// reports the work units to the cost model and maintains the
+/// `kernel.*` counters. Algorithm call sites use this instead of raw
+/// `join_single_attr`. Precondition: any single-attribute query; the
+/// dispatcher picks the kernel by predicate class.
+pub fn reduce_join(
     ctx: &mut ReduceCtx,
     q: &JoinQuery,
     cands: &Candidates,
-    accept: A,
-    on_output: F,
-) -> KernelReport
-where
-    A: Fn(&[(Interval, TupleId)]) -> bool + Sync,
-    F: FnMut(&[(Interval, TupleId)]),
-{
-    let cfg = KernelConfig {
-        threads: ctx.thread_budget(),
-        parallel_threshold: ctx.heavy_bucket_threshold(),
-    };
-    let rep = execute(q, cands, &cfg, accept, on_output);
+    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
+    on_output: impl FnMut(&[(Interval, TupleId)]),
+) -> KernelReport {
+    let rep = execute(q, cands, accept, on_output);
     ctx.add_work(rep.work);
     ctx.inc(rep.kind.counter(), 1);
-    if rep.parallel_chunks > 1 {
-        ctx.inc(names::KERNEL_PARALLEL_BUCKETS, 1);
-    }
     if rep.active_peak > 0 {
         // Execution-shape counter (see `ij_mapreduce::is_execution_shape`):
-        // the event sweep's peak concurrent-interval count, the signal the
-        // skew-driven thread budget consumes. The engine also records the
-        // per-bucket values into the `kernel.active_peak` histogram.
+        // the event sweep's peak concurrent-interval count. The engine
+        // also records the per-bucket values into the `kernel.active_peak`
+        // histogram.
         ctx.inc(names::KERNEL_ACTIVE_PEAK, rep.active_peak);
     }
     rep
-}
-
-fn run_forced(
-    kind: KernelKind,
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    mut on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    let Some(prep) = prepare(q, cands, kind) else {
-        return 0;
-    };
-    let mut work = 0u64;
-    let mut active_peak = 0u64;
-    run_range(
-        &prep,
-        cands,
-        0..prep.outer_len,
-        &mut |a| {
-            if accept(a) {
-                on_output(a)
-            }
-        },
-        &mut work,
-        &mut active_peak,
-    );
-    work
 }
 
 /// Forces the plane-sweep kernel (complete for any single-attribute
@@ -550,7 +292,7 @@ pub fn sweep_join(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> u64 {
-    run_forced(KernelKind::Sweep, q, cands, accept, on_output)
+    run(KernelKind::Sweep, q, cands, accept, on_output).0
 }
 
 /// Forces the event-list sweep (complete only for colocation condition
@@ -569,7 +311,7 @@ pub fn event_sweep_join(
     } else {
         KernelKind::Sweep
     };
-    run_forced(kind, q, cands, accept, on_output)
+    run(kind, q, cands, accept, on_output).0
 }
 
 /// Forces the sort-merge kernel (complete for any single-attribute
@@ -580,7 +322,7 @@ pub fn merge_join(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> u64 {
-    run_forced(KernelKind::SortMerge, q, cands, accept, on_output)
+    run(KernelKind::SortMerge, q, cands, accept, on_output).0
 }
 
 /// Forces the windowed backtracking fallback (the pre-kernel
@@ -592,7 +334,7 @@ pub fn backtrack_join(
     accept: impl Fn(&[(Interval, TupleId)]) -> bool,
     on_output: impl FnMut(&[(Interval, TupleId)]),
 ) -> u64 {
-    run_forced(KernelKind::Backtrack, q, cands, accept, on_output)
+    run(KernelKind::Backtrack, q, cands, accept, on_output).0
 }
 
 #[cfg(test)]
@@ -696,43 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn event_sweep_parallel_is_byte_identical_with_invariant_peak() {
-        let q = clique3();
-        let c = random_cands(3, 60, 17);
-        let run = |threads: usize| {
-            let cfg = KernelConfig {
-                threads,
-                parallel_threshold: 0,
-            };
-            let mut got: Vec<TupleId> = Vec::new();
-            let rep = execute(
-                &q,
-                &c,
-                &cfg,
-                |_| true,
-                |a| got.extend(a.iter().map(|(_, t)| *t)),
-            );
-            assert_eq!(rep.kind, KernelKind::EventSweep);
-            (rep.work, rep.active_peak, got)
-        };
-        let (base_work, base_peak, base) = run(1);
-        assert!(!base.is_empty());
-        assert!(base_peak > 0, "active_peak must be tracked");
-        for t in [2, 3, 8] {
-            let (work, peak, got) = run(t);
-            assert_eq!(got, base, "threads = {t}: output order must not change");
-            assert_eq!(
-                work, base_work,
-                "threads = {t}: work must be chunk-invariant"
-            );
-            assert_eq!(
-                peak, base_peak,
-                "threads = {t}: active_peak must be chunk-invariant"
-            );
-        }
-    }
-
-    #[test]
     fn event_sweep_reduce_join_reports_counters() {
         let q = clique3();
         let c = random_cands(3, 30, 5);
@@ -761,60 +466,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_output_is_byte_identical_and_work_invariant() {
-        let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
-        let c = random_cands(3, 60, 42);
-        let run = |threads: usize| {
-            let cfg = KernelConfig {
-                threads,
-                parallel_threshold: 0,
-            };
-            let mut got: Vec<TupleId> = Vec::new();
-            let rep = execute(
-                &q,
-                &c,
-                &cfg,
-                |_| true,
-                |a| got.extend(a.iter().map(|(_, t)| *t)),
-            );
-            (rep.work, got)
-        };
-        let (base_work, base) = run(1);
-        assert!(!base.is_empty());
-        for t in [2, 3, 8] {
-            let (work, got) = run(t);
-            assert_eq!(got, base, "threads = {t}: output order must not change");
-            assert_eq!(
-                work, base_work,
-                "threads = {t}: work must be chunk-invariant"
-            );
-        }
-    }
-
-    #[test]
-    fn accept_filter_runs_in_parallel_path() {
-        let q = JoinQuery::chain(&[Overlaps]).unwrap();
-        let c = random_cands(2, 50, 9);
-        let cfg = KernelConfig {
-            threads: 4,
-            parallel_threshold: 0,
-        };
-        let mut par = Vec::new();
-        let rep = execute(&q, &c, &cfg, |a| a[1].1 % 2 == 0, |a| par.push(a[1].1));
-        assert!(rep.parallel_chunks > 1);
-        let mut ser = Vec::new();
-        execute_serial(&q, &c, |a| a[1].1 % 2 == 0, |a| ser.push(a[1].1));
-        assert_eq!(par, ser);
-        assert!(par.iter().all(|t| t % 2 == 0));
-    }
-
-    #[test]
     fn empty_bucket_reports_zero() {
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let mut c = Candidates::new(2);
         c.push(0, iv(0, 5), 0);
         c.finish();
-        let rep = execute_serial(&q, &c, |_| true, |_| panic!("no outputs"));
+        let rep = execute(&q, &c, |_| true, |_| panic!("no outputs"));
         assert_eq!(rep.work, 0);
         assert_eq!(rep.kind, KernelKind::Sweep);
     }
@@ -827,6 +484,5 @@ mod tests {
         let rep = reduce_join(&mut ctx, &q, &c, |_| true, |_| {});
         assert_eq!(ctx.work(), rep.work);
         assert_eq!(ctx.counters().get("kernel.sweep_buckets"), 1);
-        assert_eq!(ctx.counters().get("kernel.parallel_buckets"), 0);
     }
 }

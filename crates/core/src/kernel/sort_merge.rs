@@ -14,22 +14,15 @@ use super::Compiled;
 use super::{ranges::range_pair, Emit, RangePair};
 use crate::executor::{window, Candidates};
 use ij_interval::{bounds_contain, Interval, TupleId};
-use std::ops::Range;
 
-/// Runs the merge join over `outer` positions of the level-0 list.
-pub(crate) fn run(
-    cands: &Candidates,
-    compiled: &Compiled,
-    outer: Range<usize>,
-    emit: &mut Emit<'_>,
-    work: &mut u64,
-) {
+/// Runs the merge join over the whole bucket.
+pub(crate) fn run(cands: &Candidates, compiled: &Compiled, emit: &mut Emit<'_>, work: &mut u64) {
     let rel0 = compiled.order[0];
     let list0 = cands.list(rel0);
     with_scratch(|s| {
         let assignment = s.reset_assignment(compiled.order.len());
-        *work += outer.len() as u64;
-        for &(iv, tid) in &list0[outer] {
+        *work += list0.len() as u64;
+        for &(iv, tid) in list0 {
             assignment[rel0] = (iv, tid);
             descend(cands, compiled, 1, assignment, emit, work);
         }

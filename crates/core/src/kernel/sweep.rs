@@ -21,13 +21,6 @@
 //!   (`e2 > e1`) is often tiny while the start window (`s2 ∈ (s1, e1)`)
 //!   is huge — exactly the case where the windowed backtracking path
 //!   degrades.
-//!
-//! Outer iteration (level 0) is a contiguous position range in a fixed
-//! per-call order (end order for the pair sweep, start order otherwise), so
-//! the parallel driver in [`super`] can chunk it across workers: each
-//! worker's alive state depends only on the outer interval being processed
-//! (retirement is monotone along the outer order), making chunked output a
-//! permutation-free concatenation of the serial emission order.
 
 use super::ranges::{range_pair, window_ends};
 use super::scratch::with_scratch;
@@ -35,10 +28,8 @@ use super::{Compiled, Emit, RangePair};
 use crate::executor::{window, Candidates};
 use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
-use std::ops::Range;
 
-/// Precomputed sweep structures for one bucket, shared (read-only) across
-/// parallel chunks.
+/// Precomputed sweep structures for one bucket.
 #[derive(Debug)]
 pub(crate) struct SweepPlan {
     /// Per-relation end-sorted views: `(end, index into the start-sorted
@@ -119,26 +110,17 @@ impl SweepPlan {
         SweepPlan { ends, pair: None }
     }
 
-    /// Level-0 iteration length (chunkable outer positions).
-    pub(crate) fn outer_len(&self, cands: &Candidates, compiled: &Compiled) -> usize {
-        match &self.pair {
-            Some(p) => p.outer_order.len(),
-            None => cands.len(compiled.order[0]),
-        }
-    }
-
-    /// Runs the sweep over `outer` positions of the plan's outer order.
+    /// Runs the sweep over the whole bucket.
     pub(crate) fn run(
         &self,
         cands: &Candidates,
         compiled: &Compiled,
-        outer: Range<usize>,
         emit: &mut Emit<'_>,
         work: &mut u64,
     ) {
         match &self.pair {
-            Some(p) => p.run(cands, outer, emit, work),
-            None => self.run_multi(cands, compiled, outer, emit, work),
+            Some(p) => p.run(cands, emit, work),
+            None => self.run_multi(cands, compiled, emit, work),
         }
     }
 
@@ -146,7 +128,6 @@ impl SweepPlan {
         &self,
         cands: &Candidates,
         compiled: &Compiled,
-        outer: Range<usize>,
         emit: &mut Emit<'_>,
         work: &mut u64,
     ) {
@@ -154,8 +135,8 @@ impl SweepPlan {
         let list0 = cands.list(rel0);
         with_scratch(|s| {
             let assignment = s.reset_assignment(compiled.order.len());
-            *work += outer.len() as u64;
-            for &(iv, tid) in &list0[outer] {
+            *work += list0.len() as u64;
+            for &(iv, tid) in list0 {
                 assignment[rel0] = (iv, tid);
                 self.descend(cands, compiled, 1, assignment, emit, work);
             }
@@ -220,7 +201,7 @@ fn find(next: &mut [u32], mut i: usize) -> usize {
 }
 
 impl PairSweep {
-    fn run(&self, cands: &Candidates, outer: Range<usize>, emit: &mut Emit<'_>, work: &mut u64) {
+    fn run(&self, cands: &Candidates, emit: &mut Emit<'_>, work: &mut u64) {
         let outer_list = cands.list(self.outer_rel);
         let inner_list = cands.list(self.inner_rel);
         let n = inner_list.len();
@@ -229,14 +210,12 @@ impl PairSweep {
             let super::scratch::Scratch {
                 assignment, next, ..
             } = s;
-            // Alive structure over the start-sorted inner list. Retirement
-            // is monotone along the outer order, so a chunk starting
-            // mid-order reaches the identical alive state by fast-forwarding
-            // its own retirement pointer — no cross-chunk dependency.
+            // Alive structure over the start-sorted inner list; retirement
+            // is monotone along the outer order.
             next.clear();
             next.extend(0..=n as u32);
             let mut retire = if self.contains { n } else { 0 };
-            for &oi in &self.outer_order[outer] {
+            for &oi in &self.outer_order {
                 let (o_iv, o_tid) = outer_list[oi as usize];
                 let (s1, e1) = (o_iv.start(), o_iv.end());
                 *work += 1;

@@ -5,13 +5,11 @@
 //! all must agree with the nested-loop oracle. The event-list sweep is
 //! complete only on its qualifying domain (pairwise-intersection-
 //! guaranteed colocation sets), checked here on colocation cliques and
-//! containment chains of arity 3–4. Separately, the parallel driver must
-//! emit byte-identical output (same tuples, same order) and identical
-//! work units — and, for the event sweep, an identical active peak — for
-//! every intra-bucket thread count and chunking threshold.
+//! containment chains of arity 3–4. The dispatching kernel, which routes
+//! each query to one of them, must agree as well.
 
 use ij_core::executor::Candidates;
-use ij_core::kernel::{self, KernelConfig};
+use ij_core::kernel;
 use ij_core::oracle::oracle_join;
 use ij_core::JoinInput;
 use ij_interval::{AllenPredicate, Interval, Relation, TupleId};
@@ -53,9 +51,9 @@ fn build_inputs(q: &JoinQuery, rels: &[Vec<Interval>]) -> (Candidates, JoinInput
     (cands, input)
 }
 
-/// Sorted result sets from all three forced kernels plus the oracle; panics
-/// (via prop_assert in the caller) when any pair disagrees.
-fn all_kernel_results(q: &JoinQuery, cands: &Candidates) -> [Vec<Vec<TupleId>>; 3] {
+/// Sorted result sets from the three forced kernels and the dispatching
+/// kernel, for the caller to compare with each other and the oracle.
+fn all_kernel_results(q: &JoinQuery, cands: &Candidates) -> [Vec<Vec<TupleId>>; 4] {
     type Emit<'a> = dyn FnMut(&[(Interval, TupleId)]) + 'a;
     let collect = |run: &dyn Fn(&mut Emit<'_>)| {
         let mut got: Vec<Vec<TupleId>> = Vec::new();
@@ -72,6 +70,9 @@ fn all_kernel_results(q: &JoinQuery, cands: &Candidates) -> [Vec<Vec<TupleId>>; 
         }),
         collect(&|emit| {
             kernel::merge_join(q, cands, |_| true, |a| emit(a));
+        }),
+        collect(&|emit| {
+            kernel::execute(q, cands, |_| true, |a| emit(a));
         }),
     ]
 }
@@ -127,11 +128,12 @@ proptest! {
         let m = q.num_relations() as usize;
         let rels = &seed_rels[..m];
         let (cands, input) = build_inputs(&q, rels);
-        let [bt, sw, mg] = all_kernel_results(&q, &cands);
+        let [bt, sw, mg, dx] = all_kernel_results(&q, &cands);
         let mut oracle = oracle_join(&q, &input);
         oracle.sort();
         prop_assert_eq!(&bt, &sw, "sweep != backtrack for {}", q);
         prop_assert_eq!(&bt, &mg, "merge != backtrack for {}", q);
+        prop_assert_eq!(&bt, &dx, "dispatch != backtrack for {}", q);
         prop_assert_eq!(&bt, &oracle, "kernels != oracle for {}", q);
     }
 
@@ -146,50 +148,13 @@ proptest! {
         let q = clique(m, &preds);
         let rels = &seed_rels[..m as usize];
         let (cands, input) = build_inputs(&q, rels);
-        let [bt, sw, mg] = all_kernel_results(&q, &cands);
+        let [bt, sw, mg, dx] = all_kernel_results(&q, &cands);
         let mut oracle = oracle_join(&q, &input);
         oracle.sort();
         prop_assert_eq!(&bt, &sw, "sweep != backtrack for {}", q);
         prop_assert_eq!(&bt, &mg, "merge != backtrack for {}", q);
+        prop_assert_eq!(&bt, &dx, "dispatch != backtrack for {}", q);
         prop_assert_eq!(&bt, &oracle, "kernels != oracle for {}", q);
-    }
-
-    /// The heavy-bucket parallel driver is invisible: for thread counts
-    /// 1, 2 and 8 the dispatching kernel emits the same tuples in the same
-    /// order (byte-identical output) and reports identical work units.
-    #[test]
-    fn parallel_execution_is_byte_identical(
-        preds in proptest::collection::vec(pred_strategy(), 1..3usize),
-        seed_rels in proptest::array::uniform3(rel_strategy()),
-    ) {
-        let q = JoinQuery::chain(&preds).unwrap();
-        let m = q.num_relations() as usize;
-        let rels = &seed_rels[..m];
-        let (cands, _) = build_inputs(&q, rels);
-        let run = |threads: usize| {
-            let cfg = KernelConfig { threads, parallel_threshold: 0 };
-            let mut flat: Vec<TupleId> = Vec::new();
-            let rep = kernel::execute(
-                &q,
-                &cands,
-                &cfg,
-                |a| a.iter().map(|(_, t)| *t as u64).sum::<u64>() % 5 != 1,
-                |a| flat.extend(a.iter().map(|(_, t)| *t)),
-            );
-            (rep.work, flat)
-        };
-        let (base_work, base) = run(1);
-        for threads in [2usize, 8] {
-            let (work, flat) = run(threads);
-            prop_assert_eq!(
-                &flat, &base,
-                "thread count {} changed output for {}", threads, q
-            );
-            prop_assert_eq!(
-                work, base_work,
-                "thread count {} changed work units for {}", threads, q
-            );
-        }
     }
 
     /// Arity-3/4 colocation cliques always qualify for the event sweep
@@ -210,7 +175,7 @@ proptest! {
             es.push(a.iter().map(|(_, t)| *t).collect())
         });
         es.sort();
-        let [bt, _, _] = all_kernel_results(&q, &cands);
+        let [bt, ..] = all_kernel_results(&q, &cands);
         let mut oracle = oracle_join(&q, &input);
         oracle.sort();
         prop_assert_eq!(&es, &bt, "event sweep != backtrack for {}", q);
@@ -245,51 +210,5 @@ proptest! {
         let mut oracle = oracle_join(&q, &input);
         oracle.sort();
         prop_assert_eq!(&es, &oracle, "event sweep != oracle for {}", q);
-    }
-
-    /// Chunked parallel event sweep is invisible: for worker thread counts
-    /// 1/2/8 crossed with "always chunk" and "never chunk" thresholds, the
-    /// dispatcher routes qualifying cliques to the event sweep and emits
-    /// byte-identical output with chunk-invariant work and active peak.
-    #[test]
-    fn event_sweep_parallel_chunking_is_invariant(
-        m in 3u16..5,
-        preds in proptest::collection::vec(colocation_pred_strategy(), 6),
-        seed_rels in proptest::array::uniform4(rel_strategy()),
-    ) {
-        let q = clique(m, &preds);
-        let rels = &seed_rels[..m as usize];
-        let (cands, _) = build_inputs(&q, rels);
-        let run = |threads: usize, parallel_threshold: usize| {
-            let cfg = KernelConfig { threads, parallel_threshold };
-            let mut flat: Vec<TupleId> = Vec::new();
-            let rep = kernel::execute(
-                &q,
-                &cands,
-                &cfg,
-                |a| a.iter().map(|(_, t)| *t as u64).sum::<u64>() % 5 != 1,
-                |a| flat.extend(a.iter().map(|(_, t)| *t)),
-            );
-            assert_eq!(rep.kind, kernel::KernelKind::EventSweep, "{q}");
-            (rep.work, rep.active_peak, flat)
-        };
-        let (base_work, base_peak, base) = run(1, 0);
-        for threads in [1usize, 2, 8] {
-            for threshold in [0usize, usize::MAX] {
-                let (work, peak, flat) = run(threads, threshold);
-                prop_assert_eq!(
-                    &flat, &base,
-                    "threads {} threshold {} changed output for {}", threads, threshold, q
-                );
-                prop_assert_eq!(
-                    work, base_work,
-                    "threads {} threshold {} changed work for {}", threads, threshold, q
-                );
-                prop_assert_eq!(
-                    peak, base_peak,
-                    "threads {} threshold {} changed active peak for {}", threads, threshold, q
-                );
-            }
-        }
     }
 }

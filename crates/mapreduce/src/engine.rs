@@ -34,7 +34,6 @@ use crate::fault::FaultPlan;
 use crate::job::{BucketSource, Emitter, Mapper, ReduceCtx, Reducer, ReducerId, SortedRun};
 use crate::metrics::{names, Counters, JobMetrics, ReducerLoad};
 use crate::record::Record;
-use crate::schedule::{BucketLoad, SchedConfig, SchedulePlan};
 use crate::spill::{SpillRun, SpillStats, SpillStore, SpilledBucket};
 use crate::telemetry::{detect_stragglers, HistogramRegistry, Telemetry};
 use crate::trace::{SpanKind, TraceEvent, Tracer};
@@ -49,10 +48,6 @@ use std::sync::Arc;
 // or otherwise able to reach job output.
 use std::time::{Duration, Instant};
 
-/// Default candidate count at which a reduce bucket counts as "heavy" and
-/// becomes eligible for intra-reducer parallel join kernels.
-pub const DEFAULT_HEAVY_BUCKET_THRESHOLD: usize = 4096;
-
 /// Cluster shape and cost parameters.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -61,21 +56,11 @@ pub struct ClusterConfig {
     /// distinct reducer keys than slots; they queue, and the simulated time
     /// reflects the resulting waves.
     pub reducer_slots: usize,
-    /// Worker threads used for the map phase (and for physically running
-    /// reducers). Defaults to the machine's available parallelism.
+    /// Worker threads used for the map phase and for running reducers:
+    /// each reduce worker pulls the next bucket in key order and runs it
+    /// serially, like a Hadoop reduce task in its slot. Defaults to the
+    /// machine's available parallelism.
     pub worker_threads: usize,
-    /// Upper bound on worker threads one reducer invocation may use for
-    /// heavy-bucket compute (the kernel layer's intra-reducer parallelism).
-    /// How the grant is actually computed per bucket is governed by
-    /// [`ClusterConfig::sched`]: the default skew-driven policy hands up to
-    /// this many threads to predicted-heavy buckets (heavy-first, from a
-    /// shared token pool) while light buckets run serial. Defaults to
-    /// `worker_threads`; set to 1 for strictly serial reducers.
-    pub intra_reduce_threads: usize,
-    /// Candidate count at which a bucket counts as heavy and may use the
-    /// intra-reducer thread grant. Defaults to
-    /// [`DEFAULT_HEAVY_BUCKET_THRESHOLD`].
-    pub heavy_bucket_threshold: usize,
     /// Per-reducer memory budget in approx-bytes (see
     /// [`Record::approx_bytes`]) — the paper's reducer-size bound. `None`
     /// (the default) keeps every bucket resident; with `Some(b)`, a bucket
@@ -86,27 +71,18 @@ pub struct ClusterConfig {
     /// execution-shape counters differ; see
     /// [`crate::metrics::is_execution_shape`]).
     pub reduce_memory_budget: Option<u64>,
-    /// Intra-reduce scheduling policy and scoring knobs (see
-    /// [`crate::schedule`]). Outputs and data-plane counters are
-    /// byte-identical for every policy; only the `sched.*` execution-shape
-    /// counters differ.
-    pub sched: SchedConfig,
     /// Cost-model weights for the simulated cluster time.
     pub cost: CostModel,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
         ClusterConfig {
             reducer_slots: 16,
-            worker_threads: threads,
-            intra_reduce_threads: threads,
-            heavy_bucket_threshold: DEFAULT_HEAVY_BUCKET_THRESHOLD,
+            worker_threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4),
             reduce_memory_budget: None,
-            sched: SchedConfig::default(),
             cost: CostModel::default(),
         }
     }
@@ -547,25 +523,11 @@ impl Engine {
             counters: Counters,
             event: Option<TraceEvent>,
             service_ns: u64,
-            grant: u64,
         }
 
         let threads = self.cfg.worker_threads.max(1);
         let next = AtomicUsize::new(0);
         let n = buckets.len();
-        // Intra-reduce scheduling: score every bucket by predicted work
-        // (full logical length — spilled buckets report their pre-spill
-        // pair count — times the kernel work multiplier and spill penalty)
-        // and build the execution plan: pull order plus the live grant
-        // table workers draw thread budgets from. Under the default
-        // skew-driven policy heavy buckets run first with up to
-        // `intra_reduce_threads`, light buckets run serial, and grants are
-        // recomputed from remaining pool capacity as buckets finish. The
-        // plan never affects output bytes — results land in per-bucket
-        // slots and merge in bucket order below.
-        let bucket_loads: Vec<BucketLoad> = buckets.iter().map(|(_, s)| s.load()).collect();
-        let plan = SchedulePlan::new(&self.cfg, &bucket_loads);
-        let heavy_threshold = self.cfg.heavy_bucket_threshold;
         let faults = self.faults.clone();
         let tracer = self.tracer.as_deref();
         let telemetry = self.telemetry.clone();
@@ -598,7 +560,6 @@ impl Engine {
         let result_refs = &result_slots;
         let telemetry_ref = &telemetry;
         let job_label = &job_label;
-        let plan = &plan;
 
         crossbeam::scope(|scope| {
             let handles: Vec<_> = (0..threads.min(n.max(1)))
@@ -608,26 +569,13 @@ impl Engine {
                         let mut buckets_run = 0u64;
                         let mut spill_read_nanos = 0u64;
                         loop {
-                            let pos = next.fetch_add(1, Ordering::Relaxed);
-                            if pos >= n {
-                                break;
-                            }
-                            // Workers steal *pull positions*; the plan maps
-                            // each position to a bucket index so heavy
-                            // buckets are picked up first under the
-                            // skew-driven order (identity for the static
-                            // policies).
-                            let Some(&i) = plan.order().get(pos) else {
+                            // Workers pull buckets in key order; results
+                            // land in per-bucket slots, so which worker ran
+                            // which bucket never reaches the output.
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(slot) = slots.get(i) else {
                                 break;
                             };
-                            // repolint: allow(panic-propagation): i < n == slots.len() — plan.order() is a permutation of 0..n
-                            let slot = &slots[i];
-                            // The bucket's thread grant, drawn from the
-                            // plan's token pool now (not at spawn time) so
-                            // it reflects capacity freed by finished
-                            // buckets. Held across fault retries; returned
-                            // when the bucket completes.
-                            let grant = plan.acquire(i);
                             let mut attempts = 0u32;
                             loop {
                                 attempts += 1;
@@ -666,8 +614,7 @@ impl Engine {
                                 let r0 = tracer.map(Tracer::now_us).unwrap_or(0);
                                 let svc0 = telemetry_ref.as_ref().map_or(0, |t| t.now_nanos());
                                 let mut out = Vec::new();
-                                let mut ctx =
-                                    ReduceCtx::with_parallelism(slot.key, grant, heavy_threshold);
+                                let mut ctx = ReduceCtx::new(slot.key);
                                 let mut values = source.into_stream();
                                 if let Some(tel) = telemetry_ref {
                                     values.enable_heartbeats(
@@ -709,7 +656,6 @@ impl Engine {
                                     .arg("work", ctx.work())
                                     .arg("out", out.len() as u64)
                                     .arg("spilled", spilled as u64)
-                                    .arg("grant", grant as u64)
                                 });
                                 let load = ReducerLoad {
                                     key: slot.key,
@@ -719,7 +665,7 @@ impl Engine {
                                     attempts,
                                 };
                                 let ReduceCtx { counters, .. } = ctx;
-                                // repolint: allow(panic-propagation): i < n == result_refs.len(), same guard
+                                // repolint: allow(panic-propagation): i < n == result_refs.len(), since slots.get(i) succeeded
                                 *result_refs[i].lock() = Some(ReduceResult {
                                     key: slot.key,
                                     out,
@@ -727,7 +673,6 @@ impl Engine {
                                     counters,
                                     event,
                                     service_ns,
-                                    grant: grant as u64,
                                 });
                                 if let Some(tel) = telemetry_ref {
                                     tel.gauges().note_reducer_done();
@@ -735,10 +680,6 @@ impl Engine {
                                 buckets_run += 1;
                                 break;
                             }
-                            // Return the grant so queued buckets see the
-                            // freed capacity (error paths abort the whole
-                            // job, so they need not bother).
-                            plan.release(grant);
                         }
                         let stint = tracer.map(|t| {
                             TraceEvent::span(
@@ -749,7 +690,6 @@ impl Engine {
                                 t.now_us(),
                             )
                             .arg("buckets", buckets_run)
-                            .arg("heavy_buckets", plan.heavy_count() as u64)
                         });
                         Ok((stint, spill_read_nanos))
                     })
@@ -784,7 +724,6 @@ impl Engine {
         let mut reduce_events: Vec<TraceEvent> = Vec::new();
         let mut service: Vec<(ReducerId, u64, u64)> = Vec::new();
         let mut active_peaks: Vec<u64> = Vec::new();
-        let mut grants: Vec<u64> = Vec::with_capacity(n);
         for slot in result_slots {
             let r = slot
                 .into_inner()
@@ -796,26 +735,10 @@ impl Engine {
                     active_peaks.push(peak);
                 }
             }
-            grants.push(r.grant);
             outs.push((r.key, r.out));
             loads.push(r.load);
             counters.merge(&r.counters);
             reduce_events.extend(r.event);
-        }
-        // Scheduler shape counters (the `sched.` prefix is execution-shape:
-        // grants vary with policy, thread count and pool state, never the
-        // data plane). `sched.grants` sums the per-bucket grants, so any
-        // value above the bucket count proves some bucket ran
-        // multi-threaded — what the repolint-audit sched leg asserts.
-        // Recorded only when the plan deviated from the all-serial floor,
-        // mirroring the `spill.*` gate: trivial jobs keep a clean counter
-        // set.
-        let granted_total: u64 = grants.iter().sum();
-        if granted_total > n as u64 || plan.heavy_count() > 0 {
-            counters.inc(names::SCHED_GRANTS, granted_total);
-            if plan.heavy_count() > 0 {
-                counters.inc(names::SCHED_HEAVY_BUCKETS, plan.heavy_count() as u64);
-            }
         }
         if let Some(tel) = &telemetry {
             // Service-time and active-peak samples in bucket (key) order —
@@ -829,11 +752,6 @@ impl Engine {
             }
             for &peak in &active_peaks {
                 hists.record(names::KERNEL_ACTIVE_PEAK, peak);
-            }
-            // Per-bucket grants in bucket (key) order: the grant histogram
-            // the audit sched leg inspects (`max() > 1` on the heavy mix).
-            for &g in &grants {
-                hists.record(names::SCHED_GRANT_THREADS, g);
             }
             tel.merge_hists(&hists);
             let cfg = tel.config();
@@ -1492,9 +1410,7 @@ mod tests {
         Engine::new(ClusterConfig {
             reducer_slots: 4,
             worker_threads: threads,
-            intra_reduce_threads: threads,
             reduce_memory_budget: budget,
-            cost: CostModel::default(),
             ..ClusterConfig::default()
         })
     }

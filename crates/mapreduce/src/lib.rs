@@ -61,7 +61,6 @@ pub mod fault;
 pub mod job;
 pub mod metrics;
 pub mod record;
-pub mod schedule;
 pub mod spill;
 pub mod telemetry;
 pub mod trace;
@@ -77,7 +76,6 @@ pub use job::{
 };
 pub use metrics::{is_execution_shape, Counters, JobMetrics, ReducerLoad, SkewReport};
 pub use record::Record;
-pub use schedule::{BucketLoad, SchedConfig, SchedPolicy, SchedulePlan};
 pub use spill::{SpillStats, SpilledBucket};
 pub use telemetry::{
     Clock, FlightRecorder, Histogram, HistogramRegistry, MonotonicClock, Straggler, Telemetry,

@@ -478,7 +478,6 @@ mod tests {
 
     #[test]
     fn execution_shape_counters_are_classified() {
-        assert!(is_execution_shape("kernel.parallel_buckets"));
         assert!(is_execution_shape("kernel.active_peak"));
         assert!(is_execution_shape("spill.buckets"));
         assert!(is_execution_shape("spill.runs"));

@@ -25,12 +25,14 @@ pub const KERNEL_EVENT_SWEEP_BUCKETS: &str = "kernel.event_sweep_buckets";
 pub const KERNEL_MERGE_BUCKETS: &str = "kernel.merge_buckets";
 /// Buckets joined by the windowed-backtracking fallback kernel.
 pub const KERNEL_FALLBACK_BUCKETS: &str = "kernel.fallback_buckets";
-/// Heavy buckets split across intra-reducer worker chunks
-/// (execution-shape: depends on the thread grant).
+/// No longer emitted (reads 0): buckets used to be split across
+/// intra-reducer worker chunks, and every bucket now runs serially. Kept
+/// because the end-to-end benchmark in `perfbench/` still reads it.
 pub const KERNEL_PARALLEL_BUCKETS: &str = "kernel.parallel_buckets";
 /// Summed per-bucket peak active-interval count of the event sweep
-/// (execution-shape: the skew-driven thread budget's load signal). Also
-/// recorded as a per-bucket histogram under the same name.
+/// (execution-shape: it describes how the kernel ran, not what the join
+/// computed). Also recorded as a per-bucket histogram under the same
+/// name.
 pub const KERNEL_ACTIVE_PEAK: &str = "kernel.active_peak";
 
 /// Candidate pairs examined by a join kernel.
@@ -73,14 +75,13 @@ pub const SPILL_BYTES: &str = "spill.bytes";
 /// rates depend on wall time). Also a telemetry series.
 pub const TELEMETRY_STRAGGLERS: &str = "telemetry.stragglers";
 
-/// Total intra-reduce threads granted across all buckets — the sum of
-/// per-bucket grants, so a value above the bucket count means some bucket
-/// ran multi-threaded (execution-shape: depends on the sched policy and
-/// thread count).
+/// No longer emitted (reads 0): the intra-reduce scheduler that granted
+/// threads to buckets was removed. Kept because the end-to-end benchmark
+/// in `perfbench/` still reads it.
 pub const SCHED_GRANTS: &str = "sched.grants";
-/// Buckets the scheduler classified heavy (execution-shape: the cutoff
-/// depends on `heavy_bucket_threshold` and the work multiplier, and the
-/// counter is only meaningful relative to a policy).
+/// No longer emitted (reads 0): the intra-reduce scheduler that classified
+/// buckets as heavy was removed. Kept because the end-to-end benchmark in
+/// `perfbench/` still reads it.
 pub const SCHED_HEAVY_BUCKETS: &str = "sched.heavy_buckets";
 
 // ---------------------------------------------------------------------------
@@ -97,9 +98,6 @@ pub const MAP_TASK_RECORDS: &str = "map.task_records";
 pub const REDUCE_SERVICE_NS: &str = "reduce.service_ns";
 /// Per-run spilled bytes (execution-shape: budget).
 pub const SPILL_RUN_BYTES: &str = "spill.run_bytes";
-/// Per-bucket intra-reduce thread grants in key order (execution-shape:
-/// grants depend on the sched policy, thread count and pool state).
-pub const SCHED_GRANT_THREADS: &str = "sched.grant_threads";
 
 // ---------------------------------------------------------------------------
 // Telemetry series (recorded via `Telemetry::inc_series` and the
@@ -158,7 +156,6 @@ pub const ALL: &[&str] = &[
     MAP_TASK_RECORDS,
     REDUCE_SERVICE_NS,
     SPILL_RUN_BYTES,
-    SCHED_GRANT_THREADS,
     HEARTBEATS_MAP,
     HEARTBEATS_REDUCE,
     PROGRESS_JOBS_STARTED,
@@ -179,11 +176,6 @@ pub const ALL: &[&str] = &[
 pub const SPILL_PREFIX: &str = "spill.";
 /// Name prefix of the live-telemetry counter family.
 pub const TELEMETRY_PREFIX: &str = "telemetry.";
-/// Name prefix of the intra-reduce scheduler family; shared by the
-/// counter and series classifiers like [`SPILL_PREFIX`] — grants and
-/// heavy classifications describe *how* a run executed, never the data
-/// plane.
-pub const SCHED_PREFIX: &str = "sched.";
 /// Name prefix of the progress gauges (rendered as Prometheus gauges).
 pub const PROGRESS_PREFIX: &str = "progress.";
 /// Name prefix of per-map-task series (chunking-dependent).
@@ -193,9 +185,9 @@ pub const NS_SUFFIX: &str = "_ns";
 
 /// Exact counter names that are execution-shape without sharing a shape
 /// prefix.
-pub const SHAPE_COUNTER_NAMES: &[&str] = &[KERNEL_PARALLEL_BUCKETS, KERNEL_ACTIVE_PEAK];
+pub const SHAPE_COUNTER_NAMES: &[&str] = &[KERNEL_ACTIVE_PEAK];
 /// Counter-name prefixes whose whole family is execution-shape.
-pub const SHAPE_COUNTER_PREFIXES: &[&str] = &[SPILL_PREFIX, TELEMETRY_PREFIX, SCHED_PREFIX];
+pub const SHAPE_COUNTER_PREFIXES: &[&str] = &[SPILL_PREFIX, TELEMETRY_PREFIX];
 
 /// Exact series names that are execution-shape without sharing a shape
 /// prefix or suffix. Note `telemetry.heartbeats.reduce` is *absent*:
@@ -208,15 +200,14 @@ pub const SHAPE_SERIES_NAMES: &[&str] = &[
     KERNEL_ACTIVE_PEAK,
 ];
 /// Series-name prefixes whose whole family is execution-shape.
-pub const SHAPE_SERIES_PREFIXES: &[&str] = &[SPILL_PREFIX, MAP_TASK_PREFIX, SCHED_PREFIX];
+pub const SHAPE_SERIES_PREFIXES: &[&str] = &[SPILL_PREFIX, MAP_TASK_PREFIX];
 /// Series-name suffixes whose whole family is execution-shape.
 pub const SHAPE_SERIES_SUFFIXES: &[&str] = &[NS_SUFFIX];
 
 /// Whether a counter name describes *execution shape* — how a run was
-/// physically carried out (intra-reducer chunking, spill decisions)
-/// rather than the data plane. Execution-shape counters are legitimately
-/// configuration-dependent: [`KERNEL_PARALLEL_BUCKETS`] varies with the
-/// thread grant, and the `spill.*` family varies with
+/// physically carried out (spill decisions, kernel occupancy) rather
+/// than the data plane. Execution-shape counters may be
+/// configuration-dependent: the `spill.*` family varies with
 /// `ClusterConfig::reduce_memory_budget`. Determinism byte-diffs
 /// (`repolint audit`, the equivalence proptests) exclude exactly these
 /// names; every data-plane counter must stay byte-identical across
@@ -263,20 +254,6 @@ mod tests {
         assert!(SHAPE_SERIES_PREFIXES.contains(&SPILL_PREFIX));
         assert!(is_execution_shape(SPILL_RUNS));
         assert!(is_execution_shape_series(SPILL_RUN_BYTES));
-    }
-
-    #[test]
-    fn both_classifiers_share_the_sched_prefix() {
-        // The grant counters and histogram vary with SchedPolicy and
-        // thread count; were either classifier to miss the prefix, the
-        // cross-policy byte-diffs in `repolint audit` and the
-        // schedule_equivalence proptest would flag legitimate grant
-        // variation as nondeterminism.
-        assert!(SHAPE_COUNTER_PREFIXES.contains(&SCHED_PREFIX));
-        assert!(SHAPE_SERIES_PREFIXES.contains(&SCHED_PREFIX));
-        assert!(is_execution_shape(SCHED_GRANTS));
-        assert!(is_execution_shape(SCHED_HEAVY_BUCKETS));
-        assert!(is_execution_shape_series(SCHED_GRANT_THREADS));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! Everything post-mortem the engine already had ([`crate::JobMetrics`],
 //! [`crate::SkewReport`], `spill.*` counters) is computed after a job
 //! finishes. This module is the *live* plane: the engine feeds it while
-//! jobs run, so a straggling or spilling reducer is observable mid-job —
-//! the load signal the roadmap's skew-driven intra-reduce budget needs.
+//! jobs run, so a straggling or spilling reducer is observable mid-job.
 //!
 //! Design constraints, in order:
 //!

@@ -5,15 +5,15 @@
 //! The engine's retry contract says a spilled bucket's per-attempt
 //! "clone" is just its run paths — every attempt streams the runs back
 //! from the spill store. These properties pin that the re-read really is
-//! lossless and order-preserving, and (the satellite fix verification)
-//! that a spilled bucket's `pairs_received` reports the *full logical
-//! length* of the bucket, not the in-memory tail left after spilling —
-//! the quantity the skew-driven scheduler scores buckets by.
+//! lossless and order-preserving, and that a spilled bucket's
+//! `pairs_received` reports the *full logical length* of the bucket, not
+//! the in-memory tail left after spilling — the load that `ReducerLoad`,
+//! the skew report and the cost model are built from.
 
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{
-    is_execution_shape, ClusterConfig, CostModel, Counters, Emitter, Engine, FaultPlan, JobOutput,
-    ReduceCtx, ValueStream,
+    is_execution_shape, ClusterConfig, Counters, Emitter, Engine, FaultPlan, JobOutput, ReduceCtx,
+    ValueStream,
 };
 use proptest::prelude::*;
 
@@ -31,9 +31,7 @@ fn engine(threads: usize, budget: Option<u64>, faults: Option<FaultPlan>) -> Eng
     let eng = Engine::new(ClusterConfig {
         reducer_slots: 4,
         worker_threads: threads,
-        intra_reduce_threads: threads,
         reduce_memory_budget: budget,
-        cost: CostModel::default(),
         ..ClusterConfig::default()
     });
     match faults {
@@ -134,7 +132,7 @@ proptest! {
         }
     }
 
-    /// `pairs_received` — the scheduler's load signal — is taken from
+    /// `pairs_received` — each reducer's reported load — is taken from
     /// `source.len()` before the bucket is consumed. For a spilled bucket
     /// that must be the full logical length (every value the budgeted
     /// merge routed there), never the in-memory tail left after the runs

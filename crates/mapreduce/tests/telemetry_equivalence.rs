@@ -9,8 +9,8 @@
 //! pin that contract, plus the flight recorder's crash-dump path.
 
 use ij_mapreduce::{
-    ClusterConfig, CostModel, Emitter, Engine, EngineError, FaultPlan, JobOutput, ReduceCtx,
-    Telemetry, TelemetryConfig, ValueStream, VirtualClock,
+    ClusterConfig, Emitter, Engine, EngineError, FaultPlan, JobOutput, ReduceCtx, Telemetry,
+    TelemetryConfig, ValueStream, VirtualClock,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,9 +31,7 @@ fn engine(threads: usize, budget: Option<u64>) -> Engine {
     Engine::new(ClusterConfig {
         reducer_slots: 4,
         worker_threads: threads,
-        intra_reduce_threads: threads,
         reduce_memory_budget: budget,
-        cost: CostModel::default(),
         ..ClusterConfig::default()
     })
 }

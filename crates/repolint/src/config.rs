@@ -120,7 +120,6 @@ pub fn in_no_panic_scope(path: &str) -> bool {
     p.ends_with("crates/mapreduce/src/engine.rs")
         || p.ends_with("crates/mapreduce/src/dfs.rs")
         || p.ends_with("crates/mapreduce/src/job.rs")
-        || p.ends_with("crates/mapreduce/src/schedule.rs")
         || p.ends_with("crates/mapreduce/src/spill.rs")
         || p.contains("crates/mapreduce/src/telemetry/")
 }
@@ -169,7 +168,6 @@ mod tests {
         ));
 
         assert!(in_no_panic_scope("crates/mapreduce/src/engine.rs"));
-        assert!(in_no_panic_scope("crates/mapreduce/src/schedule.rs"));
         assert!(in_no_panic_scope("crates/mapreduce/src/spill.rs"));
         assert!(in_no_panic_scope("crates/mapreduce/src/telemetry/mod.rs"));
         assert!(in_no_panic_scope(
