@@ -132,6 +132,10 @@ pub fn measure(
     input: &JoinInput,
     engine: &Engine,
 ) -> Measurement {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bench harness reports wall time; it never reaches job output"
+    )]
     let start = Instant::now();
     let out = alg
         .run(q, input, engine)

@@ -151,7 +151,10 @@ impl CascadeState {
 /// Executes one cascade stage as one MR cycle, growing the composites.
 /// Returns the stage's join result as `OutRec`s when `finalize` is set
 /// (the last stage), else updates `state`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one stage needs the query, input, engine, state, plan, partitioning, output mode and chain"
+)]
 pub fn run_stage(
     q: &JoinQuery,
     input: &JoinInput,

@@ -251,7 +251,10 @@ pub fn join_tuples(
     work
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursive descent carries its whole state as arguments"
+)]
 fn descend_tuples(
     _q: &JoinQuery,
     lists: &[Vec<(TupleId, Vec<Interval>)>],

@@ -223,7 +223,11 @@ impl BoundaryNeed {
     }
 }
 
-#[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
+#[allow(
+    clippy::too_many_arguments,
+    clippy::only_used_in_recursion,
+    reason = "the recursive enumeration carries its whole state as arguments"
+)]
 fn enumerate(
     q: &JoinQuery,
     part: &Partitioning,

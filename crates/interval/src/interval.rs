@@ -89,7 +89,10 @@ impl Interval {
     /// (`is_empty` is deliberately absent: a closed interval always
     /// contains at least one point.)
     #[inline]
-    #[allow(clippy::len_without_is_empty)]
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "a closed interval is never empty"
+    )]
     pub fn len(self) -> i64 {
         self.end - self.start
     }

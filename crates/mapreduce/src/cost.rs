@@ -141,13 +141,21 @@ impl CostModel {
             // non-negative finite costs.
             let mut best = 0;
             for (i, load) in slot_loads.iter().enumerate() {
-                // repolint: allow(panic-propagation): best is a previously visited index
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "best is a previously visited index"
+                )]
                 if *load < slot_loads[best] {
                     best = i;
                 }
             }
-            // repolint: allow(panic-propagation): best < slot_loads.len() by the scan above
-            slot_loads[best] += c;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "best < slot_loads.len() by the scan above"
+            )]
+            {
+                slot_loads[best] += c;
+            }
         }
         slot_loads.into_iter().fold(0.0, f64::max)
     }

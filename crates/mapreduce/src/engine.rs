@@ -27,6 +27,13 @@
 //! for every `worker_threads` count. Each phase is timed separately and
 //! reported through [`JobMetrics`].
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "Instant feeds only the wall/map/shuffle/reduce duration metrics in \
+              JobMetrics; durations are never keyed, emitted, or otherwise able to \
+              reach job output"
+)]
+
 use crate::cost::{CostModel, ReducerCost};
 use crate::dfs::DfsError;
 use crate::error::EngineError;
@@ -43,9 +50,6 @@ use std::collections::BinaryHeap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-// repolint: allow(wall-clock, file): Instant feeds only the wall/map/shuffle/
-// reduce duration metrics in JobMetrics; durations are never keyed, emitted,
-// or otherwise able to reach job output.
 use std::time::{Duration, Instant};
 
 /// Cluster shape and cost parameters.
@@ -665,15 +669,20 @@ impl Engine {
                                     attempts,
                                 };
                                 let ReduceCtx { counters, .. } = ctx;
-                                // repolint: allow(panic-propagation): i < n == result_refs.len(), since slots.get(i) succeeded
-                                *result_refs[i].lock() = Some(ReduceResult {
-                                    key: slot.key,
-                                    out,
-                                    load,
-                                    counters,
-                                    event,
-                                    service_ns,
-                                });
+                                #[expect(
+                                    clippy::indexing_slicing,
+                                    reason = "i < n == result_refs.len(), since slots.get(i) succeeded"
+                                )]
+                                {
+                                    *result_refs[i].lock() = Some(ReduceResult {
+                                        key: slot.key,
+                                        out,
+                                        load,
+                                        counters,
+                                        event,
+                                        service_ns,
+                                    });
+                                }
                                 if let Some(tel) = telemetry_ref {
                                     tel.gauges().note_reducer_done();
                                 }
@@ -806,7 +815,10 @@ fn merge_runs_each<M: Record, E>(
         // A heap entry is pushed only when `heads[run]` was just refilled,
         // so a missing head is unreachable; skip defensively over panicking
         // in the shuffle hot path.
-        // repolint: allow(panic-propagation): run < runs.len() — heap entries carry valid run ids
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "run < runs.len(): heap entries carry valid run ids"
+        )]
         let Some((_, value)) = heads[run].take() else {
             debug_assert!(false, "heap entry without a head");
             continue;
@@ -814,9 +826,11 @@ fn merge_runs_each<M: Record, E>(
         stats.pairs += 1;
         stats.bytes += value.approx_bytes() + 8;
         each(key, value)?;
-        // repolint: allow(panic-propagation): same valid run id as above
-        heads[run] = iters[run].next();
-        // repolint: allow(panic-propagation): same valid run id as above
+        #[expect(clippy::indexing_slicing, reason = "same valid run id as above")]
+        {
+            heads[run] = iters[run].next();
+        }
+        #[expect(clippy::indexing_slicing, reason = "same valid run id as above")]
         if let Some((k, _)) = &heads[run] {
             heap.push(Reverse((*k, run)));
         }

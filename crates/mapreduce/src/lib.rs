@@ -52,6 +52,21 @@
 //! assert_eq!(out.metrics.intermediate_pairs, 6);
 //! ```
 
+// No panic in the engine (DESIGN.md §11): every failure a job can meet
+// surfaces as a typed `EngineError`. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod chain;
 pub mod cost;
 pub mod dfs;

@@ -276,11 +276,12 @@ impl SkewReport {
 
 /// Nearest-rank percentile over an ascending-sorted slice (0 for empty).
 fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted
+        .get(rank.saturating_sub(1))
+        .or(sorted.last())
+        .copied()
+        .unwrap_or(0)
 }
 
 /// Gini coefficient over ascending-sorted values summing to `total`.

@@ -24,6 +24,13 @@
 //! sequence a reducer observes is byte-identical to in-memory execution for
 //! every budget and thread count.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "Instant feeds only the spill I/O wall accounting surfaced as \
+              JobMetrics::spill_wall and the optional trace spans; durations are \
+              never keyed, emitted, or able to reach job output"
+)]
+
 use crate::dfs::{Dfs, DfsError};
 use crate::job::ReducerId;
 use crate::record::Record;
@@ -31,9 +38,6 @@ use crate::telemetry::Telemetry;
 use crate::trace::{SpanKind, TraceEvent, Tracer};
 use std::marker::PhantomData;
 use std::sync::Arc;
-// repolint: allow(wall-clock, file): Instant feeds only the spill I/O wall
-// accounting surfaced as JobMetrics::spill_wall and the optional trace
-// spans; durations are never keyed, emitted, or able to reach job output.
 use std::time::Instant;
 
 /// Records per chunk the spilled-bucket cursor pulls through

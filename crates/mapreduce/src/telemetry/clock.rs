@@ -2,12 +2,13 @@
 //!
 //! Telemetry timestamps (heartbeat times, per-reducer service durations)
 //! are the one place the live-metrics plane legitimately touches a clock.
-//! Instead of sprinkling wall-clock reads — and repolint `allow` markers —
-//! through the subsystem, every read goes through the [`Clock`] trait:
-//! production attaches a [`MonotonicClock`], tests and the determinism
-//! audit attach a [`VirtualClock`] whose time only moves when explicitly
-//! advanced. This file is the *only* telemetry source inside repolint's
-//! `wall-clock` allowlist; the rest of `telemetry/` must stay clock-free.
+//! Instead of sprinkling wall-clock reads — and lint exemptions — through
+//! the subsystem, every read goes through the [`Clock`] trait: production
+//! attaches a [`MonotonicClock`], tests and the determinism audit attach a
+//! [`VirtualClock`] whose time only moves when explicitly advanced.
+//! [`MonotonicClock::new`] is the *only* telemetry site exempt from the
+//! workspace's `clippy::disallowed_methods` ban on `Instant::now`; the
+//! rest of `telemetry/` must stay clock-free.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,6 +30,10 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A clock whose epoch (time zero) is the moment of creation.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the production telemetry clock; every other telemetry read goes through Clock"
+    )]
     pub fn new() -> Self {
         MonotonicClock {
             epoch: Instant::now(),

@@ -20,8 +20,9 @@
 //!    (series + histograms) mutex is taken once per heartbeat quantum or
 //!    phase boundary, never per record.
 //! 3. **No ambient wall clock.** All timestamps flow through the
-//!    injectable [`Clock`]; only `clock.rs` touches `Instant`, keeping
-//!    repolint's wall-clock rule scoped instead of `allow`-riddled.
+//!    injectable [`Clock`]; only `clock.rs` reads `Instant::now`, so the
+//!    workspace's `clippy::disallowed_methods` ban needs one exemption
+//!    here instead of one per call site.
 
 pub mod clock;
 pub mod hist;

@@ -143,7 +143,10 @@ pub fn detect_stragglers(
     let rate_of = |pairs: u64, ns: u64| pairs as f64 / ns.max(1) as f64;
     let mut rates: Vec<f64> = loads.iter().map(|&(_, p, ns)| rate_of(p, ns)).collect();
     rates.sort_by(f64::total_cmp);
-    // repolint: allow(panic-propagation): rates.len() >= 2 by the guard at the top
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rates.len() >= 2 by the guard at the top"
+    )]
     let median = rates[rates.len() / 2];
     if median <= 0.0 {
         return Vec::new();

@@ -122,6 +122,10 @@ impl Default for Tracer {
 
 impl Tracer {
     /// A fresh tracer; its epoch (timestamp zero) is the moment of creation.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timestamps are the tracer's purpose and never reach job output"
+    )]
     pub fn new() -> Self {
         Tracer {
             epoch: Instant::now(),

@@ -17,8 +17,8 @@
 //! phase.
 //!
 //! The workload comes from a tiny in-module LCG rather than an RNG
-//! crate: the auditor itself must be deterministic (rule `wall-clock`
-//! applies to this crate as well).
+//! crate: the auditor itself must be deterministic (the workspace's
+//! `disallowed_methods` ban on entropy applies to this crate as well).
 
 use ij_core::all_matrix::AllMatrix;
 use ij_core::all_replicate::AllReplicate;

@@ -8,7 +8,7 @@
 //!
 //! * line and (nested) block comments, with doc-comment classification;
 //! * string, raw-string (`r#"…"#`), byte-string and char literals —
-//!   so `"HashMap"` inside a string never looks like an identifier;
+//!   so `"pub fn"` inside a string never looks like code;
 //! * the char-literal vs. lifetime ambiguity (`'a'` vs. `'a`);
 //! * numeric literals, including `0..n` ranges (the `.` stays punctuation).
 //!
@@ -44,7 +44,7 @@ pub struct Token {
     pub line: u32,
 }
 
-/// One comment (the rules read these for allow-markers and doc comments).
+/// One comment (`kernel-doc` reads the doc comments).
 #[derive(Debug, Clone)]
 pub struct Comment {
     /// Comment body, *including* the `//` / `/*` introducer.

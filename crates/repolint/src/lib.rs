@@ -1,42 +1,28 @@
-//! `repolint` — the workspace's determinism & soundness static-analysis
-//! suite, paired with a dynamic determinism auditor.
+//! `repolint` — the workspace's static checks that clippy has no lint
+//! for, paired with a dynamic determinism auditor.
 //!
 //! The engine promises byte-identical job output for every
-//! `worker_threads` count (DESIGN.md §11). Four invariants make that
-//! true, and each has a lint rule guarding it:
+//! `worker_threads` count and memory budget (DESIGN.md §11). The
+//! invariants clippy can express are denied there: hash-ordered
+//! collections and wall-clock, thread-id and entropy sources through the
+//! workspace `clippy.toml`, and panics in the engine through
+//! `ij-mapreduce`'s crate-level lint table. `repolint check` runs the
+//! three rules clippy cannot ([`rules`], DESIGN.md §15):
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `unordered-iter` | no `HashMap`/`HashSet` where iteration order can reach shuffle keys, emitted pairs or metrics |
-//! | `wall-clock` | no `SystemTime`/`Instant`/thread-id/entropy outside the trace/bench/datagen allowlist |
-//! | `no-panic` | engine hot paths (`engine.rs`, `dfs.rs`, `job.rs`, `spill.rs`) return typed [`ij_mapreduce::EngineError`]s, never panic |
 //! | `kernel-doc` | every `pub fn` in `core::kernel` states the predicate classes it is complete for |
-//!
-//! `repolint graph` (DESIGN.md §15) lifts the analysis across files: it
-//! parses every crate's token stream into a call graph
-//! ([`symbols`]/[`callgraph`]) and runs three semantic rule families
-//! ([`graph`]) over it:
-//!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `panic-propagation` | no panic-capable function transitively reachable from `Engine::run_job`, the `Dfs`, the spill path or the telemetry data plane |
 //! | `counter-registry` | every counter/histogram name is a `mapreduce::metrics::names` constant; the execution-shape classifiers are defined only in that registry |
 //! | `lock-discipline` | no nested guard acquisitions; no guard held across a `ValueStream` pull or Dfs I/O call |
 //!
-//! `// repolint: allow(<rule>): <justification>` suppresses a rule for
-//! the next line; `allow(<rule>, file)` for the whole file. The
-//! justification is mandatory.
-//!
-//! The static pass is validated against the property it protects:
+//! The static checks are validated against the property they protect:
 //! `repolint audit` ([`audit::run_audit`]) runs all eleven algorithm
 //! families under threads 1/2/8 — with the reduce-memory budget both
 //! unlimited and pinned low enough to spill — and byte-diffs their
 //! Dfs-serialized output.
 
 pub mod audit;
-pub mod callgraph;
 pub mod config;
-pub mod graph;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -46,17 +32,16 @@ pub mod symbols;
 use rules::Violation;
 use std::path::Path;
 
-/// Lints every workspace source under `root` and returns
+/// Checks every workspace source under `root` and returns
 /// `(violations, files_scanned)`.
 pub fn check_workspace(root: &Path) -> std::io::Result<(Vec<Violation>, usize)> {
-    let files = scan::workspace_sources(root)?;
-    let mut violations = Vec::new();
-    for rel in &files {
+    let paths = scan::workspace_sources(root)?;
+    let mut files = Vec::with_capacity(paths.len());
+    for rel in &paths {
         let src = std::fs::read_to_string(root.join(rel))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        violations.extend(rules::check_file(&rel_str, &src));
+        files.push((rel.to_string_lossy().replace('\\', "/"), src));
     }
-    Ok((violations, files.len()))
+    Ok((rules::check(&files), files.len()))
 }
 
 #[cfg(test)]

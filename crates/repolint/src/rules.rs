@@ -1,25 +1,27 @@
-//! The lint rules, run over [`crate::lexer::LexedFile`]s.
+//! The rules `repolint check` runs, over [`crate::lexer`] tokens and
+//! [`crate::symbols`] facts (DESIGN.md §15):
 //!
-//! All rules share three conventions:
+//! * `kernel-doc` — every `pub fn` in `core::kernel` states the
+//!   predicate classes it is complete for;
+//! * `counter-registry` — every counter/histogram name is a
+//!   `mapreduce::metrics::names` constant, and the execution-shape
+//!   classifiers are defined only in that registry;
+//! * `lock-discipline` — no nested guard acquisitions, no guard held
+//!   across a `ValueStream` pull or Dfs I/O call.
 //!
-//! * **Test code is exempt.** Tokens inside `#[cfg(test)]` items are
-//!   skipped — the invariants protect production job output, and tests
-//!   legitimately `unwrap()` and build scratch hash maps.
-//! * **Allow-markers.** `// repolint: allow(<rule>): <why>` suppresses
-//!   the named rule on the marker's comment block and the line after it;
-//!   `// repolint: allow(<rule>, file): <why>` suppresses it for the
-//!   whole file. The justification is mandatory — a bare marker is
-//!   itself a violation (`bad-marker`).
-//! * **Suggestions.** Every violation carries a mechanical fix
-//!   suggestion; `--suggest` mode prints them.
+//! Tokens inside `#[cfg(test)]` items are skipped: the invariants protect
+//! production job output. Every violation carries a mechanical fix
+//! suggestion; `--suggest` mode prints them.
 
 use crate::config;
 use crate::lexer::{lex, LexedFile, TokKind, Token};
+use crate::symbols::{extract, FileSymbols, LockIssueKind};
+use std::collections::BTreeMap;
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule identifier (see [`config::RULES`]).
+    /// Rule identifier (see [`crate::config`]).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,
@@ -31,131 +33,27 @@ pub struct Violation {
     pub suggestion: String,
 }
 
-/// A parsed `repolint: allow(...)` marker.
-#[derive(Debug)]
-pub(crate) struct Marker {
-    pub(crate) rule: String,
-    pub(crate) file_scope: bool,
-    /// Suppressed line range, inclusive (line-scope markers cover their
-    /// contiguous comment block plus the next source line).
-    pub(crate) span: (u32, u32),
-    pub(crate) justified: bool,
-    pub(crate) line: u32,
-}
-
-impl Marker {
-    /// Whether this marker suppresses `rule` on `line`.
-    pub(crate) fn covers(&self, rule: &str, line: u32) -> bool {
-        self.justified
-            && self.rule == rule
-            && (self.file_scope || (self.span.0 <= line && line <= self.span.1))
-    }
-}
-
-/// Lints one file. `path` is the workspace-relative path used for rule
-/// scoping and reporting.
-pub fn check_file(path: &str, src: &str) -> Vec<Violation> {
-    let lexed = lex(src);
-    let markers = parse_markers(&lexed);
-    let in_test = test_region_mask(&lexed.tokens);
+/// Runs every rule over `(workspace-relative path, source)` pairs and
+/// returns the violations sorted by `(path, line, rule)`.
+pub fn check(files: &[(String, String)]) -> Vec<Violation> {
+    let analyzed: Vec<(LexedFile, FileSymbols)> = files
+        .iter()
+        .map(|(path, src)| {
+            let lexed = lex(src);
+            let syms = extract(path, &lexed);
+            (lexed, syms)
+        })
+        .collect();
     let mut out = Vec::new();
-
-    for m in &markers {
-        if !m.justified {
-            out.push(Violation {
-                rule: config::BAD_MARKER,
-                path: path.to_string(),
-                line: m.line,
-                message: format!("allow-marker for `{}` lacks a justification", m.rule),
-                suggestion: "write `// repolint: allow(<rule>): <why it is safe>`".to_string(),
-            });
-        } else if !config::is_known_rule(&m.rule) {
-            out.push(Violation {
-                rule: config::BAD_MARKER,
-                path: path.to_string(),
-                line: m.line,
-                message: format!("allow-marker names unknown rule `{}`", m.rule),
-                suggestion: format!(
-                    "use one of: {}",
-                    config::RULES
-                        .iter()
-                        .map(|r| r.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            });
+    for (lexed, syms) in &analyzed {
+        if config::in_kernel_doc_scope(&syms.path) {
+            kernel_doc(&syms.path, lexed, &mut out);
         }
+        lock_discipline(syms, &mut out);
     }
-
-    let allowed = |rule: &str, line: u32| markers.iter().any(|m| m.covers(rule, line));
-
-    if config::in_unordered_iter_scope(path) {
-        rule_unordered_iter(path, &lexed, &in_test, &allowed, &mut out);
-    }
-    if config::in_wall_clock_scope(path) {
-        rule_wall_clock(path, &lexed, &in_test, &allowed, &mut out);
-    }
-    if config::in_no_panic_scope(path) {
-        rule_no_panic(path, &lexed, &in_test, &allowed, &mut out);
-    }
-    if config::in_kernel_doc_scope(path) {
-        rule_kernel_doc(path, &lexed, &in_test, &allowed, &mut out);
-    }
-
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    counter_registry(&analyzed, &mut out);
+    out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     out
-}
-
-// ---------------------------------------------------------------------------
-// Allow-markers
-
-pub(crate) fn parse_markers(lexed: &LexedFile) -> Vec<Marker> {
-    let mut markers = Vec::new();
-    for (i, c) in lexed.comments.iter().enumerate() {
-        // Markers live in plain comments only — doc comments merely
-        // *describe* the grammar (as this crate's own docs do).
-        if c.doc {
-            continue;
-        }
-        let Some(at) = c.text.find("repolint: allow(") else {
-            continue;
-        };
-        let rest = &c.text[at + "repolint: allow(".len()..];
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        let inside = &rest[..close];
-        let (rule, file_scope) = match inside.split_once(',') {
-            Some((r, flag)) => (r.trim().to_string(), flag.trim() == "file"),
-            None => (inside.trim().to_string(), false),
-        };
-        // Justification: non-whitespace text after "):" on the same
-        // comment (a multi-line comment block may continue it, but it must
-        // *start* with the marker).
-        let after = &rest[close + 1..];
-        let justified = after
-            .strip_prefix(':')
-            .map(|j| !j.trim().is_empty())
-            .unwrap_or(false);
-        // Line-scope markers cover their contiguous comment run plus one
-        // line of code below it.
-        let mut end = c.end_line;
-        for later in &lexed.comments[i + 1..] {
-            if later.line == end + 1 {
-                end = later.end_line;
-            } else {
-                break;
-            }
-        }
-        markers.push(Marker {
-            rule,
-            file_scope,
-            span: (c.line, end + 1),
-            justified,
-            line: c.line,
-        });
-    }
-    markers
 }
 
 // ---------------------------------------------------------------------------
@@ -211,174 +109,11 @@ pub(crate) fn test_region_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 // ---------------------------------------------------------------------------
-// R1: unordered-iter
+// kernel-doc
 
-fn rule_unordered_iter(
-    path: &str,
-    lexed: &LexedFile,
-    in_test: &[bool],
-    allowed: &dyn Fn(&str, u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    for (i, t) in lexed.tokens.iter().enumerate() {
-        if in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text != "HashMap" && t.text != "HashSet" {
-            continue;
-        }
-        if allowed(config::UNORDERED_ITER, t.line) {
-            continue;
-        }
-        let ordered = if t.text == "HashMap" {
-            "BTreeMap"
-        } else {
-            "BTreeSet"
-        };
-        out.push(Violation {
-            rule: config::UNORDERED_ITER,
-            path: path.to_string(),
-            line: t.line,
-            message: format!(
-                "`{}` in a module feeding shuffle/output paths: iteration \
-                 order is nondeterministic",
-                t.text
-            ),
-            suggestion: format!(
-                "use `{ordered}`, collect-and-sort before iterating, or mark \
-                 `// repolint: allow(unordered-iter): <why order never \
-                 escapes>`"
-            ),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R2: wall-clock
-
-const ENTROPY_IDENTS: &[&str] = &[
-    "SystemTime",
-    "Instant",
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
-];
-
-fn rule_wall_clock(
-    path: &str,
-    lexed: &LexedFile,
-    in_test: &[bool],
-    allowed: &dyn Fn(&str, u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
+fn kernel_doc(path: &str, lexed: &LexedFile, out: &mut Vec<Violation>) {
     let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let flagged = if ENTROPY_IDENTS.contains(&t.text.as_str()) {
-            Some(t.text.clone())
-        } else if t.text == "thread"
-            && matches!(toks.get(i + 1), Some(n) if n.text == ":")
-            && matches!(toks.get(i + 2), Some(n) if n.text == ":")
-            && matches!(toks.get(i + 3), Some(n) if n.text == "current")
-        {
-            Some("thread::current".to_string())
-        } else {
-            None
-        };
-        let Some(name) = flagged else { continue };
-        if allowed(config::WALL_CLOCK, t.line) {
-            continue;
-        }
-        out.push(Violation {
-            rule: config::WALL_CLOCK,
-            path: path.to_string(),
-            line: t.line,
-            message: format!(
-                "`{name}` outside the trace/bench/datagen allowlist: \
-                 wall-clock, thread ids and entropy must never reach job \
-                 output"
-            ),
-            suggestion: "thread timing through JobMetrics/Tracer, derive \
-                         randomness from a seeded generator, or mark \
-                         `// repolint: allow(wall-clock): <why it cannot \
-                         reach output>`"
-                .to_string(),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R3: no-panic
-
-const BANG_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-fn rule_no_panic(
-    path: &str,
-    lexed: &LexedFile,
-    in_test: &[bool],
-    allowed: &dyn Fn(&str, u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        let found: Option<(String, &str)> = if t.kind == TokKind::Punct && t.text == "." {
-            match toks.get(i + 1) {
-                Some(n)
-                    if n.kind == TokKind::Ident
-                        && (n.text == "unwrap" || n.text == "expect")
-                        && matches!(toks.get(i + 2), Some(p) if p.text == "(") =>
-                {
-                    Some((
-                        format!(".{}()", n.text),
-                        "return a typed `EngineError` (or restructure so the \
-                         invariant is checked with `let … else` + \
-                         `EngineError::Internal`)",
-                    ))
-                }
-                _ => None,
-            }
-        } else if t.kind == TokKind::Ident
-            && BANG_MACROS.contains(&t.text.as_str())
-            && matches!(toks.get(i + 1), Some(p) if p.text == "!")
-        {
-            Some((
-                format!("{}!", t.text),
-                "propagate a typed `EngineError` instead of tearing down the \
-                 worker at a schedule-dependent point",
-            ))
-        } else {
-            None
-        };
-        let Some((what, fix)) = found else { continue };
-        if allowed(config::NO_PANIC, t.line) {
-            continue;
-        }
-        out.push(Violation {
-            rule: config::NO_PANIC,
-            path: path.to_string(),
-            line: t.line,
-            message: format!("`{what}` in an engine hot path"),
-            suggestion: fix.to_string(),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R4: kernel-doc
-
-fn rule_kernel_doc(
-    path: &str,
-    lexed: &LexedFile,
-    in_test: &[bool],
-    allowed: &dyn Fn(&str, u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    let toks = &lexed.tokens;
+    let in_test = test_region_mask(toks);
     for (i, t) in toks.iter().enumerate() {
         if in_test[i] || t.kind != TokKind::Ident || t.text != "pub" {
             continue;
@@ -393,9 +128,6 @@ fn rule_kernel_doc(
         let Some(name_tok) = toks.get(i + 2) else {
             continue;
         };
-        if allowed(config::KERNEL_DOC, t.line) {
-            continue;
-        }
         // Gather the doc block: contiguous doc comments ending directly
         // above the fn (attribute-only lines in between are fine).
         let doc = doc_block_above(lexed, toks, i, t.line);
@@ -502,74 +234,184 @@ fn doc_block_above(
     }
 }
 
+// ---------------------------------------------------------------------------
+// counter-registry
+
+/// Metric-recording methods whose first string argument *must* be a
+/// registered name.
+const RECORDING_METHODS: &[&str] = &["inc", "record", "inc_series", "record_hist"];
+
+/// Classifier functions that must live inside the registry module.
+const REGISTRY_CLASSIFIERS: &[&str] = &["is_execution_shape", "is_execution_shape_series"];
+
+/// Parses `pub const IDENT: &str = "value";` declarations from the
+/// registry module's token stream, mapping value → const name.
+fn parse_registry(lexed: &LexedFile) -> BTreeMap<String, String> {
+    let toks = &lexed.tokens;
+    let mut map = BTreeMap::new();
+    for i in 0..toks.len() {
+        let is = |k: usize, kind: TokKind, text: &str| {
+            toks.get(i + k)
+                .map(|t| t.kind == kind && t.text == text)
+                .unwrap_or(false)
+        };
+        // const NAME : & str = "value" ;
+        if is(0, TokKind::Ident, "const")
+            && toks.get(i + 1).map(|t| t.kind) == Some(TokKind::Ident)
+            && is(2, TokKind::Punct, ":")
+            && is(3, TokKind::Punct, "&")
+            && is(4, TokKind::Ident, "str")
+            && is(5, TokKind::Punct, "=")
+            && toks.get(i + 6).map(|t| t.kind) == Some(TokKind::Str)
+        {
+            map.insert(toks[i + 6].text.clone(), toks[i + 1].text.clone());
+        }
+    }
+    map
+}
+
+fn counter_registry(files: &[(LexedFile, FileSymbols)], out: &mut Vec<Violation>) {
+    let registry: Option<BTreeMap<String, String>> = files
+        .iter()
+        .find(|(_, syms)| config::is_registry_file(&syms.path))
+        .map(|(lexed, _)| parse_registry(lexed));
+
+    for (_, syms) in files {
+        if config::is_registry_file(&syms.path) {
+            continue;
+        }
+        // Classifier functions must live inside the registry module.
+        for d in &syms.fns {
+            if REGISTRY_CLASSIFIERS.contains(&d.name.as_str()) {
+                out.push(Violation {
+                    rule: config::COUNTER_REGISTRY,
+                    path: syms.path.clone(),
+                    line: d.line,
+                    message: format!(
+                        "`fn {}` defined outside `metrics/names.rs`: the \
+                         execution-shape sets can silently drift",
+                        d.name
+                    ),
+                    suggestion: "move the classifier into the \
+                                 `metrics::names` registry and re-export it \
+                                 at this path"
+                        .to_string(),
+                });
+            }
+        }
+        for u in &syms.str_uses {
+            let recording = u
+                .record_call
+                .as_deref()
+                .is_some_and(|m| RECORDING_METHODS.contains(&m));
+            match &registry {
+                Some(consts) => {
+                    if let Some(cname) = consts.get(&u.value) {
+                        // Any literal duplicating a registered name — in a
+                        // recording call or not — must use the constant.
+                        out.push(Violation {
+                            rule: config::COUNTER_REGISTRY,
+                            path: syms.path.clone(),
+                            line: u.line,
+                            message: format!(
+                                "string literal \"{}\" duplicates the \
+                                 registered counter name `names::{}`",
+                                u.value, cname
+                            ),
+                            suggestion: format!(
+                                "use `names::{cname}` so the registry stays \
+                                 the single source of truth"
+                            ),
+                        });
+                    } else if recording {
+                        out.push(Violation {
+                            rule: config::COUNTER_REGISTRY,
+                            path: syms.path.clone(),
+                            line: u.line,
+                            message: format!(
+                                "`.{}(\"{}\", …)` records a name not declared \
+                                 in `mapreduce::metrics::names`",
+                                u.record_call.as_deref().unwrap_or(""),
+                                u.value
+                            ),
+                            suggestion: format!(
+                                "declare `pub const …: &str = \"{}\";` in \
+                                 metrics/names.rs and pass the constant",
+                                u.value
+                            ),
+                        });
+                    }
+                }
+                None if recording => {
+                    out.push(Violation {
+                        rule: config::COUNTER_REGISTRY,
+                        path: syms.path.clone(),
+                        line: u.line,
+                        message: format!(
+                            "`.{}(\"{}\", …)` recorded but no \
+                             `metrics/names.rs` registry module exists",
+                            u.record_call.as_deref().unwrap_or(""),
+                            u.value
+                        ),
+                        suggestion: "create the `mapreduce::metrics::names` \
+                                     registry module and declare every \
+                                     counter name there"
+                            .to_string(),
+                    });
+                }
+                None => {}
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// lock-discipline
+
+fn lock_discipline(syms: &FileSymbols, out: &mut Vec<Violation>) {
+    for d in &syms.fns {
+        for issue in &d.lock_issues {
+            let what = match issue.kind {
+                LockIssueKind::Nested => "nested lock acquisition",
+                LockIssueKind::AcrossIo => "lock held across stream/Dfs I/O",
+            };
+            out.push(Violation {
+                rule: config::LOCK_DISCIPLINE,
+                path: syms.path.clone(),
+                line: issue.line,
+                message: format!("{what} in `fn {}`: {}", d.name, issue.detail),
+                suggestion: "scope the outer guard so it drops before the \
+                             inner acquisition / I/O"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn hashmap_in_scope_is_flagged_and_marker_suppresses() {
-        let src = "use std::collections::HashMap;\n\
-                   // repolint: allow(unordered-iter): keys re-sorted below\n\
-                   fn f(m: HashMap<u32, u32>) {}\n";
-        let v = check_file("crates/core/src/x.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 1);
-        assert_eq!(v[0].rule, config::UNORDERED_ITER);
+    fn run(files: &[(&str, &str)]) -> Vec<Violation> {
+        let owned: Vec<(String, String)> = files
+            .iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect();
+        check(&owned)
     }
 
-    #[test]
-    fn file_scope_marker_suppresses_everywhere() {
-        let src = "// repolint: allow(unordered-iter, file): test scratch\n\
-                   use std::collections::HashMap;\n\
-                   fn f(m: HashMap<u32, u32>) {}\n";
-        assert!(check_file("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unjustified_marker_is_a_violation() {
-        let src = "// repolint: allow(unordered-iter)\nfn f() {}\n";
-        let v = check_file("crates/core/src/x.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, config::BAD_MARKER);
-    }
+    const NAMES_RS: &str = "pub const SPILL_RUNS: &str = \"spill.runs\";\n";
 
     #[test]
     fn cfg_test_regions_are_exempt() {
-        let src = "fn prod() {}\n\
+        let src = "/// Complete for any single-attribute query.\n\
+                   pub fn prod() {}\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                       use std::collections::HashMap;\n\
-                       #[test]\n\
-                       fn t() { let x: Option<u32> = None; x.unwrap(); panic!(); }\n\
+                       pub fn undocumented() {}\n\
+                       fn t(&self) { let a = self.a.lock(); let b = self.b.lock(); }\n\
                    }\n";
-        assert!(check_file("crates/mapreduce/src/engine.rs", src).is_empty());
-    }
-
-    #[test]
-    fn no_panic_catches_all_forms() {
-        let src = "fn f(x: Option<u32>) {\n\
-                       x.unwrap();\n\
-                       x.expect(\"boom\");\n\
-                       panic!(\"no\");\n\
-                       unreachable!();\n\
-                   }\n";
-        let v = check_file("crates/mapreduce/src/engine.rs", src);
-        let rules: Vec<_> = v.iter().map(|v| v.rule).collect();
-        assert_eq!(v.len(), 4, "{v:?}");
-        assert!(rules.iter().all(|r| *r == config::NO_PANIC));
-        // unwrap_or / resume_unwind style idents never match.
-        let ok = "fn g(x: Option<u32>) -> u32 { x.unwrap_or(4) }\n";
-        assert!(check_file("crates/mapreduce/src/engine.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_flags_instant_and_thread_current() {
-        let src = "use std::time::Instant;\n\
-                   fn f() { let _ = std::thread::current().id(); }\n";
-        let v = check_file("crates/query/src/q.rs", src);
-        assert_eq!(v.len(), 2, "{v:?}");
-        // The tracer is allowlisted by path.
-        assert!(check_file("crates/mapreduce/src/trace.rs", src).is_empty());
+        assert!(run(&[("crates/core/src/kernel/mod.rs", src)]).is_empty());
     }
 
     #[test]
@@ -580,69 +422,81 @@ mod tests {
                     #[inline]\n\
                     pub fn join_it(x: u32) -> u32 { x }\n";
         let path = "crates/core/src/kernel/mod.rs";
-        assert_eq!(check_file(path, undocumented).len(), 1);
-        assert_eq!(check_file(path, vague).len(), 1);
-        assert!(check_file(path, good).is_empty());
+        assert_eq!(run(&[(path, undocumented)]).len(), 1);
+        assert_eq!(run(&[(path, vague)]).len(), 1);
+        assert!(run(&[(path, good)]).is_empty());
         // Out of scope: same file content elsewhere passes.
-        assert!(check_file("crates/core/src/cascade.rs", undocumented).is_empty());
-    }
-
-    #[test]
-    fn spill_module_is_in_no_panic_scope() {
-        let panicky = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let v = check_file("crates/mapreduce/src/spill.rs", panicky);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, config::NO_PANIC);
-    }
-
-    #[test]
-    fn spill_module_is_in_wall_clock_scope_with_marker_escape() {
-        let timed = "use std::time::Instant;\nfn g() {}\n";
-        let v = check_file("crates/mapreduce/src/spill.rs", timed);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, config::WALL_CLOCK);
-        // The real spill.rs justifies its I/O timers with exactly this
-        // file-scope marker shape.
-        let justified =
-            "// repolint: allow(wall-clock, file): spill I/O timers only feed metrics\n\
-             use std::time::Instant;\nfn g() {}\n";
-        assert!(check_file("crates/mapreduce/src/spill.rs", justified).is_empty());
-    }
-
-    #[test]
-    fn telemetry_wall_clock_is_allowed_only_in_clock_rs() {
-        // The injectable-Clock contract: `Instant` is legal in the one
-        // allowlisted clock module and nowhere else in telemetry/.
-        let timed = "use std::time::Instant;\nfn now() {}\n";
-        assert!(check_file("crates/mapreduce/src/telemetry/clock.rs", timed).is_empty());
-        let v = check_file("crates/mapreduce/src/telemetry/mod.rs", timed);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, config::WALL_CLOCK);
-        let v = check_file("crates/mapreduce/src/telemetry/recorder.rs", timed);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn telemetry_modules_are_in_no_panic_scope() {
-        let panicky = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        for path in [
-            "crates/mapreduce/src/telemetry/mod.rs",
-            "crates/mapreduce/src/telemetry/hist.rs",
-            "crates/mapreduce/src/telemetry/recorder.rs",
-            "crates/mapreduce/src/telemetry/clock.rs",
-        ] {
-            let v = check_file(path, panicky);
-            assert_eq!(v.len(), 1, "{path}: {v:?}");
-            assert_eq!(v[0].rule, config::NO_PANIC, "{path}");
-        }
-        // Test modules inside telemetry stay exempt, like everywhere else.
-        let test_only = "#[cfg(test)]\nmod tests {\n fn t(x: Option<u32>) { x.unwrap(); }\n}\n";
-        assert!(check_file("crates/mapreduce/src/telemetry/hist.rs", test_only).is_empty());
+        assert!(run(&[("crates/core/src/cascade.rs", undocumented)]).is_empty());
     }
 
     #[test]
     fn pub_crate_fns_are_not_kernel_doc_targets() {
         let src = "pub(crate) fn helper(x: u32) -> u32 { x }\n";
-        assert!(check_file("crates/core/src/kernel/mod.rs", src).is_empty());
+        assert!(run(&[("crates/core/src/kernel/mod.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn unregistered_recording_name_is_flagged() {
+        let v = run(&[
+            ("crates/mapreduce/src/metrics/names.rs", NAMES_RS),
+            (
+                "crates/mapreduce/src/metrics.rs",
+                "pub fn f(c: &Counters) { c.inc(\"spill.rogue\", 1); }",
+            ),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, config::COUNTER_REGISTRY);
+        assert!(v[0].message.contains("spill.rogue"));
+    }
+
+    #[test]
+    fn literal_duplicating_registered_name_is_flagged() {
+        let v = run(&[
+            ("crates/mapreduce/src/metrics/names.rs", NAMES_RS),
+            (
+                "crates/bench/src/report.rs",
+                "pub fn f(c: &Counters) { c.get(\"spill.runs\"); }",
+            ),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].message.contains("names::SPILL_RUNS"),
+            "{}",
+            v[0].message
+        );
+    }
+
+    #[test]
+    fn classifier_outside_registry_is_flagged() {
+        let v = run(&[
+            ("crates/mapreduce/src/metrics/names.rs", NAMES_RS),
+            (
+                "crates/mapreduce/src/metrics.rs",
+                "pub fn is_execution_shape(n: &str) -> bool { false }",
+            ),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("is_execution_shape"));
+    }
+
+    #[test]
+    fn missing_registry_is_flagged_on_recording() {
+        let v = run(&[(
+            "crates/mapreduce/src/metrics.rs",
+            "pub fn f(c: &Counters) { c.inc(\"spill.runs\", 1); }",
+        )]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("no `metrics/names.rs` registry"));
+    }
+
+    #[test]
+    fn lock_discipline_flags_nested_guards() {
+        let nested = "pub fn f(&self) {\n\
+                      let a = self.files.write();\n\
+                      let b = self.stats.write();\n}\n";
+        let v = run(&[("crates/mapreduce/src/dfs.rs", nested)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, config::LOCK_DISCIPLINE);
+        assert!(v[0].message.contains("in `fn f`"), "{}", v[0].message);
     }
 }

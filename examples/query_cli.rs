@@ -93,6 +93,10 @@ fn main() {
         cfg.partitions,
         cfg.per_dim
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "prints the query's wall time; it never reaches job output"
+    )]
     let start = std::time::Instant::now();
     let out = alg
         .run(&query, &input, &engine)

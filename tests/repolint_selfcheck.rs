@@ -1,55 +1,29 @@
-//! Cross-crate self-check: the workspace's own call graph carries zero
-//! unmarked panic-propagation violations reachable from `Engine::run_job`
-//! and zero counter-registry drift. This is the CI-facing pin for the
-//! `repolint graph` pass — if a new helper reachable from the engine
-//! grows an `unwrap()`, or a counter name bypasses
-//! `mapreduce::metrics::names`, this test fails before the lint job does.
+//! Cross-crate self-check: the workspace carries zero counter-registry
+//! drift and zero lock-discipline violations. This is the test-suite pin
+//! for `repolint check` — if a counter name bypasses
+//! `mapreduce::metrics::names`, or a guard is held across stream or Dfs
+//! I/O, this test fails before the lint job does.
 
 use std::path::Path;
 
 #[test]
-fn workspace_graph_is_clean() {
+fn workspace_check_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (violations, graph, scanned) =
-        repolint::graph::check_workspace_graph(root).expect("graph scan");
+    let (violations, scanned) = repolint::check_workspace(root).expect("workspace scan");
     assert!(
         scanned > 50,
         "expected a real workspace scan, saw {scanned} files"
     );
-    // The graph actually modeled the engine: its entry point and the Dfs
-    // methods must be nodes, and run_job must call into the reduce phase.
-    let run_job = graph
-        .nodes
-        .iter()
-        .position(|n| n.display == "Engine::run_job")
-        .expect("Engine::run_job is a call-graph node");
-    assert!(graph.nodes.iter().any(|n| n.display == "Dfs::read_range"));
-    let parent = graph.reach(&[run_job]);
-    let reached = parent.iter().filter(|p| p.is_some()).count();
-    assert!(
-        reached > 10,
-        "Engine::run_job should reach a real closure, reached {reached} nodes"
-    );
-
-    let panic_violations: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule == "panic-propagation")
-        .collect();
-    assert!(
-        panic_violations.is_empty(),
-        "unmarked panic-capable functions reachable from the engine:\n{panic_violations:#?}"
-    );
-    let registry_violations: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule == "counter-registry")
-        .collect();
-    assert!(
-        registry_violations.is_empty(),
-        "counter-registry drift:\n{registry_violations:#?}"
-    );
+    for rule in [
+        repolint::config::COUNTER_REGISTRY,
+        repolint::config::LOCK_DISCIPLINE,
+    ] {
+        let hits: Vec<_> = violations.iter().filter(|v| v.rule == rule).collect();
+        assert!(hits.is_empty(), "{rule} violations:\n{hits:#?}");
+    }
     assert!(
         violations.is_empty(),
-        "workspace graph has violations:\n{violations:#?}"
+        "workspace check has violations:\n{violations:#?}"
     );
 }
 
