@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_core::executor::{join_single_attr, Candidates};
+use ij_core::kernel::{Owner, Sink};
 use ij_interval::AllenPredicate::{Before, Contains, Overlaps};
 use ij_interval::Interval;
 use ij_query::JoinQuery;
@@ -36,7 +37,7 @@ fn bench_executor(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("overlap_chain_3way", n), &n, |b, _| {
             b.iter(|| {
                 let mut outs = 0u64;
-                join_single_attr(&q, &cands, |_| true, |_| outs += 1);
+                join_single_attr(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| outs += 1));
                 outs
             })
         });
@@ -48,7 +49,7 @@ fn bench_executor(c: &mut Criterion) {
     group.bench_function("before_2way_400", |b| {
         b.iter(|| {
             let mut outs = 0u64;
-            join_single_attr(&q, &cands, |_| true, |_| outs += 1);
+            join_single_attr(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| outs += 1));
             outs
         })
     });
@@ -59,7 +60,7 @@ fn bench_executor(c: &mut Criterion) {
     group.bench_function("contains_chain_1k", |b| {
         b.iter(|| {
             let mut outs = 0u64;
-            join_single_attr(&q, &cands, |_| true, |_| outs += 1);
+            join_single_attr(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| outs += 1));
             outs
         })
     });

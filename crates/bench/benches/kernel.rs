@@ -19,7 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ij_core::executor::Candidates;
-use ij_core::kernel;
+use ij_core::kernel::{self, Owner, Sink};
 use ij_interval::{Interval, TupleId};
 use ij_query::JoinQuery;
 use rand::rngs::StdRng;
@@ -143,14 +143,21 @@ fn bench_overlap_heavy(c: &mut Criterion) {
     group.bench_function("windowed_backtracking", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::backtrack_join(&q, &cands, |_| true, |_| *count += 1);
+                kernel::backtrack_join(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| *count += 1));
             })
         })
     });
     group.bench_function("dispatching_kernel", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::execute(&q, &cands, |_| true, |_| *count += 1);
+                kernel::execute(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| *count += 1));
+            })
+        })
+    });
+    group.bench_function("dispatching_kernel_count", |b| {
+        b.iter(|| {
+            count_with(&|count| {
+                kernel::execute(&q, &cands, &Owner::all(), Sink::Count(count));
             })
         })
     });
@@ -171,7 +178,7 @@ fn bench_sequence_heavy(c: &mut Criterion) {
     group.bench_function("windowed_backtracking", |b| {
         b.iter(|| {
             let mut count = 0u64;
-            kernel::backtrack_join(&q, &cands, |_| true, |_| count += 1);
+            kernel::backtrack_join(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| count += 1));
             assert_eq!(count, expect);
             criterion::black_box(count)
         })
@@ -179,7 +186,15 @@ fn bench_sequence_heavy(c: &mut Criterion) {
     group.bench_function("dispatching_kernel", |b| {
         b.iter(|| {
             let mut count = 0u64;
-            kernel::execute(&q, &cands, |_| true, |_| count += 1);
+            kernel::execute(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| count += 1));
+            assert_eq!(count, expect);
+            criterion::black_box(count)
+        })
+    });
+    group.bench_function("dispatching_kernel_count", |b| {
+        b.iter(|| {
+            let mut count = 0u64;
+            kernel::execute(&q, &cands, &Owner::all(), Sink::Count(&mut count));
             assert_eq!(count, expect);
             criterion::black_box(count)
         })
@@ -281,21 +296,26 @@ fn bench_event_sweep(c: &mut Criterion) {
     group.bench_function("windowed_backtracking", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::backtrack_join(&q, &cands, |_| true, |_| *count += 1);
+                kernel::backtrack_join(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| *count += 1));
             })
         })
     });
     group.bench_function("dual_window_sweep", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::sweep_join(&q, &cands, |_| true, |_| *count += 1);
+                kernel::sweep_join(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| *count += 1));
             })
         })
     });
     group.bench_function("event_sweep", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::event_sweep_join(&q, &cands, |_| true, |_| *count += 1);
+                kernel::event_sweep_join(
+                    &q,
+                    &cands,
+                    &Owner::all(),
+                    Sink::Emit(&mut |_| *count += 1),
+                );
             })
         })
     });

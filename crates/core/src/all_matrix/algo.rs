@@ -18,7 +18,7 @@ use crate::algorithm::{
 use crate::all_matrix::cells::CellSpace;
 use crate::executor::Candidates;
 use crate::input::JoinInput;
-use crate::kernel;
+use crate::kernel::{self, Owner};
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{IvRec, OutRec};
 use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
@@ -112,22 +112,7 @@ impl Algorithm for AllMatrix {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let mut count = 0u64;
-                kernel::reduce_join(
-                    ctx,
-                    &q,
-                    &cands,
-                    |_| true,
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                        }
-                    },
-                );
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                kernel::reduce_into(ctx, &q, &cands, &Owner::all(), mode, out);
             },
         )?;
 

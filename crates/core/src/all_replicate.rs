@@ -13,10 +13,10 @@ use crate::algorithm::{
 };
 use crate::executor::Candidates;
 use crate::input::JoinInput;
-use crate::kernel;
+use crate::kernel::{self, Owner};
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{IvRec, OutRec};
-use ij_interval::{ops, Interval, TupleId};
+use ij_interval::ops;
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
 use ij_query::{AttrRef, JoinQuery};
@@ -115,27 +115,12 @@ impl Algorithm for AllReplicate {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let own = ctx.key as usize;
-                let partr = &partc;
-                let accept = |a: &[(Interval, TupleId)]| {
-                    if !need_owner_filter {
-                        return true;
-                    }
-                    let max_start = a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
-                    partr.index_of(max_start) == own
+                let owner = if need_owner_filter {
+                    Owner::all().with_group(0..m, &partc, ctx.key as usize)
+                } else {
+                    Owner::all()
                 };
-                let mut count = 0u64;
-                let rep = kernel::reduce_join(ctx, &q, &cands, accept, |a| {
-                    count += 1;
-                    if mode == OutputMode::Materialize {
-                        out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                    }
-                });
-                ctx.inc(names::JOIN_CANDIDATES, rep.work);
-                ctx.inc(names::JOIN_EMITTED, count);
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                kernel::reduce_into(ctx, &q, &cands, &owner, mode, out);
             },
         )?;
 
@@ -152,7 +137,7 @@ mod tests {
     use super::*;
     use crate::oracle::oracle_join;
     use ij_interval::AllenPredicate::*;
-    use ij_interval::Relation;
+    use ij_interval::{Interval, Relation};
     use ij_mapreduce::ClusterConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

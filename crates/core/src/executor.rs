@@ -4,23 +4,23 @@
 //! its `ValueStream` once (in emission order — the stream may be backed by
 //! the in-memory merge or by spilled Dfs runs, the reducer cannot tell)
 //! into per-relation [`Candidates`] lists, enumerate the combinations that
-//! satisfy all query conditions, keep the ones it *owns* (the
-//! per-algorithm duplicate-elimination rule), and emit them.
+//! satisfy all query conditions and that it *owns* (the per-algorithm
+//! duplicate-elimination rule, an [`Owner`]), and emit or count them (a
+//! [`Sink`]).
 //!
 //! [`join_single_attr`] is the optimized path for single-attribute queries.
 //! It delegates to the dispatching kernel (`crate::kernel`), which picks a
 //! pair sweep, merged event-list sweep, dual-window plane sweep, sort-merge,
-//! or the windowed-backtracking fallback by query shape; the fallback —
-//! candidates sorted by start point, each backtracking level
-//! binary-searching the window of compatible start points (via
-//! [`ij_interval::AllenPredicate::right_start_bounds`]) — run over whole
-//! relations with an all-accepting owner filter, is the test oracle's
+//! or the windowed-backtracking fallback by query shape, and applies the
+//! owner as start-window bounds inside each of them. Run over whole
+//! relations with [`Owner::all`], the dispatcher is the test oracle's
 //! engine.
 //!
 //! [`join_tuples`] is the general path for multi-attribute queries
 //! (Gen-Matrix): a scan-based backtracking join with incremental condition
 //! checks, adequate for the cell-sized groups reducers see.
 
+use crate::kernel::{Owner, Sink};
 use ij_interval::{Interval, Time, TupleId};
 use ij_query::JoinQuery;
 use std::ops::Bound;
@@ -188,24 +188,19 @@ pub(crate) fn window(
 }
 
 /// Enumerates all combinations (one candidate per relation) satisfying
-/// every condition of `q`; calls `on_output` for those `accept` approves.
+/// every condition of `q` that `owner` admits, into `sink`.
 ///
-/// `accept` receives the full assignment — `assignment[r]` is relation `r`'s
-/// `(interval, tuple id)` — and implements the algorithm's ownership rule;
-/// the oracle passes `|_| true`.
+/// `owner` is the algorithm's ownership rule as start-point bounds
+/// (`assignment[r]` in an emitted binding is relation `r`'s
+/// `(interval, tuple id)`); the oracle passes [`Owner::all`].
 ///
 /// Returns the work units spent (candidates examined), which reducers
 /// report to the cost model.
 ///
 /// # Panics
 /// Panics if `cands` was not [`finish`](Candidates::finish)ed.
-pub fn join_single_attr(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    crate::kernel::execute(q, cands, accept, on_output).work
+pub fn join_single_attr(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
+    crate::kernel::execute(q, cands, owner, sink).work
 }
 
 /// General multi-attribute backtracking join over full tuples.
@@ -352,14 +347,18 @@ mod tests {
 
     fn run(q: &JoinQuery, cands: &Candidates) -> Vec<Vec<TupleId>> {
         let mut got = Vec::new();
-        join_single_attr(
-            q,
-            cands,
-            |_| true,
-            |a| got.push(a.iter().map(|(_, t)| *t).collect::<Vec<_>>()),
-        );
+        let emit = &mut |a: &[(Interval, TupleId)]| {
+            got.push(a.iter().map(|(_, t)| *t).collect::<Vec<_>>())
+        };
+        join_single_attr(q, cands, &Owner::all(), Sink::Emit(emit));
         got.sort();
         got
+    }
+
+    fn count(q: &JoinQuery, cands: &Candidates, owner: &Owner) -> u64 {
+        let mut n = 0;
+        join_single_attr(q, cands, owner, Sink::Count(&mut n));
+        n
     }
 
     #[test]
@@ -411,16 +410,18 @@ mod tests {
     }
 
     #[test]
-    fn accept_filters_outputs() {
+    fn owner_keeps_the_bindings_whose_greatest_start_is_in_its_partition() {
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let mut c = Candidates::new(2);
         c.push(0, iv(0, 10), 0);
         c.push(1, iv(5, 15), 0);
         c.push(1, iv(8, 20), 1);
         c.finish();
-        let mut n = 0;
-        join_single_attr(&q, &c, |a| a[1].1 == 1, |_| n += 1);
-        assert_eq!(n, 1);
+        let part = ij_interval::Partitioning::from_boundaries(vec![0, 8, 30]).unwrap();
+        let owner = |p| Owner::all().with_group([0, 1], &part, p);
+        assert_eq!(count(&q, &c, &Owner::all()), 2);
+        assert_eq!(count(&q, &c, &owner(0)), 1);
+        assert_eq!(count(&q, &c, &owner(1)), 1);
     }
 
     #[test]
@@ -429,8 +430,9 @@ mod tests {
         let mut c = Candidates::new(2);
         c.push(0, iv(0, 10), 0);
         c.finish();
-        let work = join_single_attr(&q, &c, |_| true, |_| panic!("no outputs"));
-        assert_eq!(work, 0);
+        let mut n = 0;
+        let work = join_single_attr(&q, &c, &Owner::all(), Sink::Count(&mut n));
+        assert_eq!((work, n), (0, 0));
     }
 
     #[test]
@@ -440,7 +442,7 @@ mod tests {
         let mut c = Candidates::new(2);
         c.push(0, iv(0, 10), 0);
         c.push(1, iv(5, 15), 0);
-        join_single_attr(&q, &c, |_| true, |_| {});
+        count(&q, &c, &Owner::all());
     }
 
     #[test]
@@ -456,7 +458,7 @@ mod tests {
         c.push(1, iv(5, 20), 1000);
         c.finish();
         let mut outs = 0;
-        let work = join_single_attr(&q, &c, |_| true, |_| outs += 1);
+        let work = join_single_attr(&q, &c, &Owner::all(), Sink::Count(&mut outs));
         assert_eq!(outs, 1);
         assert!(
             work < 20,

@@ -15,12 +15,11 @@ use crate::algorithm::{
 };
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
-use crate::hybrid::{owns_assignment, run_component_marking};
+use crate::hybrid::{matrix_owner, run_component_marking};
 use crate::input::JoinInput;
 use crate::kernel;
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{FlagRec, IvRec, OutRec};
-use ij_interval::{Interval, TupleId};
 use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ValueStream};
 use ij_query::{AttrRef, JoinQuery};
 
@@ -104,24 +103,8 @@ impl Algorithm for AllSeqMatrix {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let mut count = 0u64;
-                kernel::reduce_join(
-                    ctx,
-                    &q,
-                    &cands,
-                    |a: &[(Interval, TupleId)]| {
-                        owns_assignment(&compsc, &partc, &coords, |r| a[r].0)
-                    },
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                        }
-                    },
-                );
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                let owner = matrix_owner(&compsc, &partc, &coords);
+                kernel::reduce_into(ctx, &q, &cands, &owner, mode, out);
             },
         )?;
         chain.push(out.metrics);
@@ -139,7 +122,7 @@ mod tests {
     use super::*;
     use crate::oracle::oracle_join;
     use ij_interval::AllenPredicate::{self, *};
-    use ij_interval::Relation;
+    use ij_interval::{Interval, Relation};
     use ij_mapreduce::ClusterConfig;
     use ij_query::Condition;
     use rand::rngs::StdRng;

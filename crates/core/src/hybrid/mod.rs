@@ -13,6 +13,12 @@
 //!   cycles);
 //! * [`pasm`] — Pruned-All-Seq-Matrix (3 MR cycles), which additionally
 //!   drops intervals that cannot appear in any component's output.
+//!
+//! Shared here: the per-component marking cycle, which hands every input
+//! record back once, flagged, rebuilt from the component's relation map
+//! (no lookup per record); and the matrix joins' owner — one
+//! [`Owner`] group per component, whose greatest start must fall in the
+//! cell's coordinate for it.
 
 pub mod all_seq_matrix;
 pub mod fcts;
@@ -25,10 +31,15 @@ pub use fstc::Fstc;
 pub use pasm::Pasm;
 
 use crate::algorithm::AlgoError;
+use crate::kernel::Owner;
 use crate::records::{FlagRec, IvRec};
-use ij_interval::{ops, Interval, Partitioning, TupleId};
+use ij_interval::{ops, Interval, Partitioning, RelId, TupleId};
 use ij_mapreduce::{Emitter, Engine, JobChain, ReduceCtx, ReducerId, ValueStream};
 use ij_query::{AttrRef, Components, JoinQuery};
+
+/// A component's sub-query, its global → local relation map and its
+/// local → global one.
+type SubQuery = (JoinQuery, Vec<u16>, Vec<RelId>);
 
 /// The first MR cycle shared by All-Seq-Matrix and PASM: runs the RCCIS
 /// replication marking *per colocation component*, all components in one
@@ -57,8 +68,9 @@ pub(crate) fn run_component_marking(
         .iter()
         .map(|c| c.vertices.len() >= 2)
         .collect();
-    // Pre-extract per-component sub-queries and local relation maps.
-    let sub_queries: Vec<Option<(JoinQuery, Vec<u16>)>> = comps
+    // Pre-extract per-component sub-queries, local relation maps and, per
+    // local slot, the global relation.
+    let sub_queries: Vec<Option<SubQuery>> = comps
         .components
         .iter()
         .map(|c| {
@@ -68,7 +80,7 @@ pub(crate) fn run_component_marking(
                 for (i, v) in c.vertices.iter().enumerate() {
                     map[v.rel.idx()] = i as u16;
                 }
-                (sq, map)
+                (sq, map, c.vertices.iter().map(|v| v.rel).collect())
             })
         })
         .collect();
@@ -107,32 +119,21 @@ pub(crate) fn run_component_marking(
                         });
                     }
                 }
-                Some((sq, local_of)) => {
+                Some((sq, local_of, global_of)) => {
                     let mut per_rel: Vec<Vec<(Interval, TupleId)>> =
                         vec![Vec::new(); sq.num_relations() as usize];
-                    // Remember global identity alongside.
-                    let mut globals: Vec<Vec<IvRec>> =
-                        vec![Vec::new(); sq.num_relations() as usize];
                     for v in values.by_ref() {
-                        let l = local_of[v.rel.idx()] as usize;
-                        per_rel[l].push((v.iv, v.tid));
-                        globals[l].push(v);
+                        per_rel[local_of[v.rel.idx()] as usize].push((v.iv, v.tid));
                     }
                     let marking = crate::rccis::marking::mark(sq, &partc, p, per_rel);
                     ctx.add_work(marking.work);
-                    for (l, (list, flags)) in marking.sorted.iter().zip(&marking.flags).enumerate()
+                    for ((&rel, list), flags) in
+                        global_of.iter().zip(&marking.sorted).zip(&marking.flags)
                     {
                         for (&(iv, tid), &replicate) in list.iter().zip(flags) {
                             if partc.index_of(iv.start()) == p {
-                                // Find the global record (rel known from the
-                                // component's vertex list).
-                                let rec = globals[l]
-                                    .iter()
-                                    .find(|g| g.tid == tid)
-                                    .expect("marked interval came from input");
-                                debug_assert_eq!(rec.iv, iv);
                                 out.push(FlagRec {
-                                    rec: *rec,
+                                    rec: IvRec { rel, tid, iv },
                                     replicate,
                                 });
                             }
@@ -146,25 +147,81 @@ pub(crate) fn run_component_marking(
     Ok(out.outputs)
 }
 
-/// Ownership test shared by the matrix joins: the assignment is owned by
-/// cell `coords` when, for every component, the maximal start partition
-/// among the component's member intervals equals the cell's coordinate.
-pub(crate) fn owns_assignment(
-    comps: &Components,
-    part: &Partitioning,
-    coords: &[usize],
-    iv_of_rel: impl Fn(usize) -> Interval,
-) -> bool {
-    for comp in &comps.components {
-        let q_k = comp
-            .vertices
-            .iter()
-            .map(|v| part.index_of(iv_of_rel(v.rel.idx()).start()))
-            .max()
-            .expect("components are non-empty");
-        if q_k != coords[comp.id] {
-            return false;
+/// The owner of matrix cell `coords` (All-Seq-Matrix and PASM): one
+/// group per colocation component, owned where the component's greatest
+/// start point falls in the cell's coordinate for that component.
+pub(crate) fn matrix_owner(comps: &Components, part: &Partitioning, coords: &[usize]) -> Owner {
+    comps.components.iter().fold(Owner::all(), |owner, comp| {
+        owner.with_group(
+            comp.vertices.iter().map(|v| v.rel.idx()),
+            part,
+            coords[comp.id],
+        )
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithm::iv_records;
+    use crate::JoinInput;
+    use ij_interval::AllenPredicate::*;
+    use ij_interval::Relation;
+    use ij_mapreduce::ClusterConfig;
+    use ij_query::Condition;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    fn random_rel(rng: &mut StdRng, n: usize) -> Relation {
+        Relation::from_intervals(
+            "R",
+            (0..n).map(|_| {
+                let s = rng.gen_range(0..500);
+                Interval::new(s, s + rng.gen_range(0..=120)).unwrap()
+            }),
+        )
+    }
+
+    /// Component marking hands every input record back exactly once, with
+    /// its relation, tuple id and interval intact — also when two logical
+    /// relations share tuple ids (a self-join).
+    #[test]
+    fn component_marking_returns_every_record_once() {
+        // Components {R1} (singleton) and {R2, R3, R4} (colocation), whose
+        // local relation indices differ from the global ones.
+        let q = JoinQuery::new(
+            4,
+            vec![
+                Condition::whole(0, Before, 1),
+                Condition::whole(1, Overlaps, 2),
+                Condition::whole(2, Contains, 3),
+            ],
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let owned = JoinInput::bind_owned(&q, (0..4).map(|_| random_rel(&mut rng, 80)).collect());
+        let shared = JoinInput::bind_self_join(&q, Arc::new(random_rel(&mut rng, 80)));
+        for input in [owned.unwrap(), shared.unwrap()] {
+            let part = Partitioning::from_boundaries(vec![0, 90, 200, 320, 450, 700]).unwrap();
+            let records = iv_records(&input);
+            let engine = Engine::new(ClusterConfig::with_slots(3));
+            let flags = run_component_marking(
+                &q,
+                &q.components(),
+                &part,
+                &records,
+                &engine,
+                &mut JobChain::new(),
+            )
+            .unwrap();
+            assert!(flags.iter().any(|f| f.replicate), "nothing crosses");
+            let key = |r: &IvRec| (r.rel, r.tid, r.iv.start(), r.iv.end());
+            let mut got: Vec<_> = flags.iter().map(|f| key(&f.rec)).collect();
+            let mut want: Vec<_> = records.iter().map(key).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want);
         }
     }
-    true
 }

@@ -18,9 +18,9 @@ use crate::algorithm::{
 };
 use crate::all_matrix::CellSpace;
 use crate::executor::Candidates;
-use crate::hybrid::{owns_assignment, run_component_marking};
+use crate::hybrid::{matrix_owner, run_component_marking};
 use crate::input::JoinInput;
-use crate::kernel;
+use crate::kernel::{self, Owner, Sink};
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{FlagRec, IvRec, OutRec};
 use ij_interval::{ops, Interval, TupleId};
@@ -140,22 +140,14 @@ impl Algorithm for Pasm {
                     }
                     cands.finish();
                     let mut participating: BTreeSet<u64> = BTreeSet::new();
-                    kernel::reduce_join(
-                        ctx,
-                        sq,
-                        &cands,
-                        |a: &[(Interval, TupleId)]| {
-                            let max_start =
-                                a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
-                            partc.index_of(max_start) == p
-                        },
-                        |a| {
-                            for (local, (_, tid)) in a.iter().enumerate() {
-                                let rel = vertex_rels[k][local];
-                                participating.insert((rel as u64) << 32 | *tid as u64);
-                            }
-                        },
-                    );
+                    let owner = Owner::all().with_group(0..sq.num_relations() as usize, &partc, p);
+                    let emit = &mut |a: &[(Interval, TupleId)]| {
+                        for (local, (_, tid)) in a.iter().enumerate() {
+                            let rel = vertex_rels[k][local];
+                            participating.insert((rel as u64) << 32 | *tid as u64);
+                        }
+                    };
+                    kernel::reduce_join(ctx, sq, &cands, &owner, Sink::Emit(emit));
                     out.extend(participating);
                 }
             },
@@ -217,24 +209,8 @@ impl Algorithm for Pasm {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let mut count = 0u64;
-                kernel::reduce_join(
-                    ctx,
-                    &q,
-                    &cands,
-                    |a: &[(Interval, TupleId)]| {
-                        owns_assignment(&compsc, &partc, &coords, |r| a[r].0)
-                    },
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                        }
-                    },
-                );
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                let owner = matrix_owner(&compsc, &partc, &coords);
+                kernel::reduce_into(ctx, &q, &cands, &owner, mode, out);
             },
         )?;
         chain.push(out.metrics);

@@ -28,11 +28,12 @@
 //! do not qualify (`[0,10] ov [5,15] ov [12,20]` has no common point) and
 //! stay on the dual-window sweep.
 
+use super::owner::OwnerPlan;
 use super::ranges::range_pair;
 use super::scratch::with_scratch;
-use super::{Emit, RangePair};
+use super::{level_checks, Owner, RangePair, Sink};
 use crate::executor::Candidates;
-use ij_interval::{AllenPredicate, Interval, Time, TupleId};
+use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
 
 /// Sentinel for "tuple not currently active" in the position index.
@@ -115,7 +116,7 @@ struct Event {
 
 /// The probe program run when a tuple of one particular relation starts:
 /// a BFS binding order rooted at that relation plus per-level checks in
-/// right-operand form (mirroring [`super::Compiled`]).
+/// right-operand form and owner bounds (mirroring [`super::Compiled`]).
 #[derive(Debug)]
 struct Program {
     /// Relations in binding order; `order[0]` is the trigger relation.
@@ -123,6 +124,8 @@ struct Program {
     /// `checks[level]` = `(other_rel, pred)` with the level's candidate
     /// as the right operand of `pred`.
     checks: Vec<Vec<(usize, AllenPredicate)>>,
+    /// The reducer's owner compiled for this order.
+    owner: OwnerPlan,
 }
 
 /// Precomputed event-sweep structures for one bucket.
@@ -193,7 +196,7 @@ fn possible_latest(q: &JoinQuery) -> Vec<bool> {
 }
 
 impl EventSweepPlan {
-    pub(crate) fn new(q: &JoinQuery, cands: &Candidates) -> EventSweepPlan {
+    pub(crate) fn new(q: &JoinQuery, cands: &Candidates, owner: &Owner) -> EventSweepPlan {
         debug_assert!(qualifies(q), "event sweep requires a qualifying query");
         let m = q.num_relations() as usize;
         let mut events = Vec::with_capacity((0..m).map(|r| 2 * cands.len(r)).sum());
@@ -220,7 +223,9 @@ impl EventSweepPlan {
             adj[c.left.rel.idx()].push(c.right.rel.idx());
             adj[c.right.rel.idx()].push(c.left.rel.idx());
         }
-        let programs = (0..m).map(|root| Program::new(q, &adj, root)).collect();
+        let programs = (0..m)
+            .map(|root| Program::new(q, &adj, root, owner))
+            .collect();
         EventSweepPlan {
             events,
             programs,
@@ -233,7 +238,7 @@ impl EventSweepPlan {
     pub(crate) fn run(
         &self,
         cands: &Candidates,
-        emit: &mut Emit<'_>,
+        sink: &mut Sink<'_>,
         work: &mut u64,
         active_peak: &mut u64,
     ) {
@@ -255,11 +260,15 @@ impl EventSweepPlan {
                 if e.end || !self.probe[e.rel as usize] {
                     continue;
                 }
-                *work += 1;
                 let rel = e.rel as usize;
-                assignment[rel] = cands.list(rel)[e.idx as usize];
                 let program = &self.programs[rel];
-                descend(program, active, 1, assignment, emit, work);
+                let trigger = cands.list(rel)[e.idx as usize];
+                if !bounds_contain(program.owner.bounds(0, assignment), trigger.0.start()) {
+                    continue;
+                }
+                *work += 1;
+                assignment[rel] = trigger;
+                descend(program, active, 1, assignment, sink, work);
             }
         });
     }
@@ -295,34 +304,37 @@ fn apply(
 }
 
 /// Enumerates bindings level by level from the active arrays, with the
-/// level's intersected endpoint ranges checked exactly — predicate
-/// satisfaction *is* range membership (see [`super::ranges`]).
+/// level's intersected endpoint ranges and owner bounds checked exactly —
+/// predicate satisfaction *is* range membership (see [`super::ranges`]).
 fn descend(
     program: &Program,
     active: &[Vec<(Interval, TupleId, u32)>],
     level: usize,
     assignment: &mut Vec<(Interval, TupleId)>,
-    emit: &mut Emit<'_>,
+    sink: &mut Sink<'_>,
     work: &mut u64,
 ) {
-    if level == program.order.len() {
-        emit(assignment);
-        return;
-    }
     let rel = program.order[level];
     let mut rp = RangePair::full();
     for &(other, pred) in &program.checks[level] {
         rp.intersect(&range_pair(pred, assignment[other].0));
     }
+    rp.restrict_start(program.owner.bounds(level, assignment));
     if rp.is_empty() {
         return;
     }
     let arr = &active[rel];
     *work += arr.len() as u64;
+    let last = level + 1 == program.order.len();
     for &(iv, tid, _) in arr {
-        if rp.contains(iv) {
+        if !rp.contains(iv) {
+            continue;
+        }
+        if last {
+            sink.hit(assignment, rel, (iv, tid));
+        } else {
             assignment[rel] = (iv, tid);
-            descend(program, active, level + 1, assignment, emit, work);
+            descend(program, active, level + 1, assignment, sink, work);
         }
     }
 }
@@ -332,7 +344,7 @@ impl Program {
     /// relation index — deterministic), with each condition checked at
     /// the level where its later-bound endpoint binds, oriented so the
     /// candidate is the right operand.
-    fn new(q: &JoinQuery, adj: &[Vec<usize>], root: usize) -> Program {
+    fn new(q: &JoinQuery, adj: &[Vec<usize>], root: usize, owner: &Owner) -> Program {
         let m = q.num_relations() as usize;
         let mut order = vec![root];
         let mut seen = vec![false; m];
@@ -350,21 +362,13 @@ impl Program {
             }
         }
         debug_assert_eq!(order.len(), m, "qualifying queries are connected");
-        let mut level_of = vec![0usize; m];
-        for (lvl, &r) in order.iter().enumerate() {
-            level_of[r] = lvl;
+        let checks = level_checks(q, &order);
+        let owner = OwnerPlan::new(owner, &order);
+        Program {
+            order,
+            checks,
+            owner,
         }
-        let mut checks: Vec<Vec<(usize, AllenPredicate)>> = vec![Vec::new(); m];
-        for c in q.conditions() {
-            let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
-            let (lvl, other, pred) = if level_of[l] > level_of[r] {
-                (level_of[l], r, c.pred.inverse())
-            } else {
-                (level_of[r], l, c.pred)
-            };
-            checks[lvl].push((other, pred));
-        }
-        Program { order, checks }
     }
 }
 

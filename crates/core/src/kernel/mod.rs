@@ -1,7 +1,8 @@
 //! Predicate-specialized reduce-side join kernels.
 //!
 //! Every reducer of every single-attribute algorithm funnels into
-//! [`execute`] (via `executor::join_single_attr` or [`reduce_join`]): the
+//! [`execute`] (via [`reduce_into`], [`reduce_join`] or
+//! `executor::join_single_attr`): the
 //! dispatcher classifies the query's condition set and routes each bucket
 //! to the fastest applicable kernel —
 //!
@@ -28,9 +29,18 @@
 //!
 //! **One serial call per bucket.** Each reduce worker runs its bucket's
 //! kernel on its own thread, like a Hadoop reduce task; parallelism comes
-//! only from the engine running several reducers at once. The `accept`
-//! owner filter and the `on_output` sink are both called inline, in the
-//! kernel's fixed emission order.
+//! only from the engine running several reducers at once.
+//!
+//! **Declarative owner and sink.** A reducer's duplicate-elimination rule
+//! arrives as an [`Owner`]: groups of relations whose greatest start must
+//! lie in the reducer's partition. Every kernel applies it as start-window
+//! bounds at each binding level, so exactly the owned bindings are
+//! enumerated. The [`Sink`] says what happens to them: [`Sink::Emit`]
+//! calls back per binding in the kernel's fixed order, [`Sink::Count`]
+//! lets the last level add its matches without building them — a window
+//! whose ranges imply every member (a *before* leaf) counts as its width.
+//! [`reduce_into`] is the step every algorithm's reducer takes: it runs
+//! the kernel in the reducer's `OutputMode` and writes the records.
 //!
 //! **Streaming reducers.** Since the memory-budgeted reduce pipeline,
 //! reducers receive their bucket as a pull-based
@@ -42,22 +52,79 @@
 
 mod backtrack;
 mod event_sweep;
+mod owner;
 mod ranges;
 mod scratch;
 mod sort_merge;
 mod sweep;
 
+pub use owner::Owner;
 pub use ranges::{range_pair, RangePair};
 
 use crate::executor::Candidates;
-use ij_interval::{AllenPredicate, Interval, TupleId};
+use crate::output::OutputMode;
+use crate::records::OutRec;
+use ij_interval::{bounds_contain, AllenPredicate, Interval, TupleId};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::ReduceCtx;
 use ij_query::{JoinQuery, QueryClass};
+use owner::OwnerPlan;
 
-/// Sink for complete bindings: one `(interval, tuple)` slot per relation,
-/// in query order.
-pub(crate) type Emit<'a> = dyn FnMut(&[(Interval, TupleId)]) + 'a;
+/// A binding callback: one `(interval, tuple)` slot per relation, in
+/// query order.
+pub type EmitFn<'a> = dyn FnMut(&[(Interval, TupleId)]) + 'a;
+
+/// Where a kernel delivers its complete bindings.
+pub enum Sink<'a> {
+    /// Adds the number of bindings. The last binding level counts its
+    /// matches without building an assignment or calling back.
+    Count(&'a mut u64),
+    /// Calls back once per binding.
+    Emit(&'a mut EmitFn<'a>),
+}
+
+impl Sink<'_> {
+    /// Delivers one binding: `assignment` completed by `b` in slot `rel`.
+    #[inline]
+    pub(crate) fn hit(
+        &mut self,
+        assignment: &mut [(Interval, TupleId)],
+        rel: usize,
+        b: (Interval, TupleId),
+    ) {
+        match self {
+            Sink::Count(n) => **n += 1,
+            Sink::Emit(f) => {
+                assignment[rel] = b;
+                f(assignment)
+            }
+        }
+    }
+}
+
+/// The last binding level over a start window: `window` holds relation
+/// `rel`'s candidates inside `rp`'s start range, and the ones inside its
+/// end range complete a binding. With [`Sink::Count`] and an end range
+/// the start range already implies, the count is the window's width.
+fn leaf(
+    sink: &mut Sink<'_>,
+    assignment: &mut [(Interval, TupleId)],
+    rel: usize,
+    window: &[(Interval, TupleId)],
+    rp: &RangePair,
+) {
+    if let Sink::Count(n) = sink {
+        if rp.covers(rp.start) {
+            **n += window.len() as u64;
+            return;
+        }
+    }
+    for &b in window {
+        if bounds_contain(rp.end, b.0.end()) {
+            sink.hit(assignment, rel, b);
+        }
+    }
+}
 
 /// Which kernel a bucket was routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,44 +237,58 @@ fn choose(q: &JoinQuery) -> KernelKind {
 /// later-bound endpoint is at `level`, with the predicate oriented so the
 /// *candidate is the right operand*: the check is `pred.holds(other, cand)`
 /// and the candidate's endpoint ranges come from
-/// [`ranges::range_pair`]`(pred, other)`.
+/// [`ranges::range_pair`]`(pred, other)`. `owner` holds the start bounds
+/// each level adds for the reducer's [`Owner`].
 pub(crate) struct Compiled {
     pub(crate) order: Vec<usize>,
     pub(crate) checks: Vec<Vec<(usize, AllenPredicate)>>,
+    pub(crate) owner: OwnerPlan,
 }
 
 impl Compiled {
-    fn new(q: &JoinQuery, list_len: impl Fn(usize) -> usize) -> Compiled {
-        let m = q.num_relations() as usize;
+    fn new(q: &JoinQuery, list_len: impl Fn(usize) -> usize, owner: &Owner) -> Compiled {
         let order = crate::executor::binding_order(q, list_len);
-        let mut level_of = vec![0usize; m];
-        for (lvl, &r) in order.iter().enumerate() {
-            level_of[r] = lvl;
+        let checks = level_checks(q, &order);
+        let owner = OwnerPlan::new(owner, &order);
+        Compiled {
+            order,
+            checks,
+            owner,
         }
-        let mut checks: Vec<Vec<(usize, AllenPredicate)>> = vec![Vec::new(); m];
-        for c in q.conditions() {
-            let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
-            let (lvl, other, pred) = if level_of[l] > level_of[r] {
-                // `l` binds later: the candidate is the LEFT operand, so
-                // flip to the right-operand form.
-                (level_of[l], r, c.pred.inverse())
-            } else {
-                (level_of[r], l, c.pred)
-            };
-            checks[lvl].push((other, pred));
-        }
-        Compiled { order, checks }
     }
 }
 
-/// Runs `kind` over the whole bucket, filtering bindings through
-/// `accept` before `on_output`; returns `(work, active_peak)`.
+/// Each condition, checked at the level where its later-bound endpoint
+/// binds, oriented so the candidate is the right operand.
+fn level_checks(q: &JoinQuery, order: &[usize]) -> Vec<Vec<(usize, AllenPredicate)>> {
+    let m = q.num_relations() as usize;
+    let mut level_of = vec![0usize; m];
+    for (lvl, &r) in order.iter().enumerate() {
+        level_of[r] = lvl;
+    }
+    let mut checks: Vec<Vec<(usize, AllenPredicate)>> = vec![Vec::new(); m];
+    for c in q.conditions() {
+        let (l, r) = (c.left.rel.idx(), c.right.rel.idx());
+        let (lvl, other, pred) = if level_of[l] > level_of[r] {
+            // `l` binds later: the candidate is the LEFT operand, so
+            // flip to the right-operand form.
+            (level_of[l], r, c.pred.inverse())
+        } else {
+            (level_of[r], l, c.pred)
+        };
+        checks[lvl].push((other, pred));
+    }
+    checks
+}
+
+/// Runs `kind` over the whole bucket, enumerating only the bindings
+/// `owner` admits into `sink`; returns `(work, active_peak)`.
 fn run(
     kind: KernelKind,
     q: &JoinQuery,
     cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    mut on_output: impl FnMut(&[(Interval, TupleId)]),
+    owner: &Owner,
+    mut sink: Sink<'_>,
 ) -> (u64, u64) {
     assert!(
         cands.is_sorted(),
@@ -216,23 +297,22 @@ fn run(
     if cands.any_empty() {
         return (0, 0);
     }
-    let compiled = Compiled::new(q, |r| cands.len(r));
+    let compiled = Compiled::new(q, |r| cands.len(r), owner);
     let mut work = 0u64;
     let mut active_peak = 0u64;
-    let emit: &mut Emit<'_> = &mut |a| {
-        if accept(a) {
-            on_output(a)
-        }
-    };
+    let sink = &mut sink;
     match kind {
-        KernelKind::Backtrack => backtrack::run(cands, &compiled, emit, &mut work),
-        KernelKind::SortMerge => sort_merge::run(cands, &compiled, emit, &mut work),
+        KernelKind::Backtrack => backtrack::run(cands, &compiled, sink, &mut work),
+        KernelKind::SortMerge => sort_merge::run(cands, &compiled, sink, &mut work),
         KernelKind::Sweep => {
-            sweep::SweepPlan::new(q, cands, &compiled).run(cands, &compiled, emit, &mut work)
+            sweep::SweepPlan::new(q, cands, &compiled).run(cands, &compiled, sink, &mut work)
         }
-        KernelKind::EventSweep => {
-            event_sweep::EventSweepPlan::new(q, cands).run(cands, emit, &mut work, &mut active_peak)
-        }
+        KernelKind::EventSweep => event_sweep::EventSweepPlan::new(q, cands, owner).run(
+            cands,
+            sink,
+            &mut work,
+            &mut active_peak,
+        ),
     }
     (work, active_peak)
 }
@@ -242,16 +322,12 @@ fn run(
 /// sequence sets to sort-merge and mixed Allen sets to the backtracking
 /// fallback.
 ///
-/// `executor::join_single_attr` delegates here, so the whole algorithm
-/// suite picks the kernels up without signature changes.
-pub fn execute(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> KernelReport {
+/// Only the bindings `owner` admits are enumerated: its groups are start
+/// bounds inside every kernel's windows, not a filter on finished
+/// bindings. `executor::join_single_attr` delegates here.
+pub fn execute(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> KernelReport {
     let kind = choose(q);
-    let (work, active_peak) = run(kind, q, cands, accept, on_output);
+    let (work, active_peak) = run(kind, q, cands, owner, sink);
     KernelReport {
         kind,
         work,
@@ -261,17 +337,16 @@ pub fn execute(
 
 /// Runs a bucket inside a reducer: executes the dispatching kernel,
 /// reports the work units to the cost model and maintains the
-/// `kernel.*` counters. Algorithm call sites use this instead of raw
-/// `join_single_attr`. Precondition: any single-attribute query; the
+/// `kernel.*` counters. Precondition: any single-attribute query; the
 /// dispatcher picks the kernel by predicate class.
 pub fn reduce_join(
     ctx: &mut ReduceCtx,
     q: &JoinQuery,
     cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
+    owner: &Owner,
+    sink: Sink<'_>,
 ) -> KernelReport {
-    let rep = execute(q, cands, accept, on_output);
+    let rep = execute(q, cands, owner, sink);
     ctx.add_work(rep.work);
     ctx.inc(rep.kind.counter(), 1);
     if rep.active_peak > 0 {
@@ -284,15 +359,43 @@ pub fn reduce_join(
     rep
 }
 
-/// Forces the plane-sweep kernel (complete for any single-attribute
-/// query); returns work units. Used by benchmarks and equivalence tests.
-pub fn sweep_join(
+/// A reducer's whole join step: runs [`reduce_join`] in `mode` and writes
+/// the owned bindings to `out` — one `OutRec::Tuple` each when
+/// materializing, a single `OutRec::Count` when counting (none for an
+/// empty bucket). Records `join.candidates` (the kernel's work units) and
+/// `join.emitted`, identical in both modes. Precondition: any
+/// single-attribute query; the dispatcher picks the kernel by predicate
+/// class.
+pub fn reduce_into(
+    ctx: &mut ReduceCtx,
     q: &JoinQuery,
     cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    run(KernelKind::Sweep, q, cands, accept, on_output).0
+    owner: &Owner,
+    mode: OutputMode,
+    out: &mut Vec<OutRec>,
+) {
+    let mut count = 0u64;
+    let rep = match mode {
+        OutputMode::Count => reduce_join(ctx, q, cands, owner, Sink::Count(&mut count)),
+        OutputMode::Materialize => {
+            let emit = &mut |a: &[(Interval, TupleId)]| {
+                count += 1;
+                out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
+            };
+            reduce_join(ctx, q, cands, owner, Sink::Emit(emit))
+        }
+    };
+    ctx.inc(names::JOIN_CANDIDATES, rep.work);
+    ctx.inc(names::JOIN_EMITTED, count);
+    if mode == OutputMode::Count && count > 0 {
+        out.push(OutRec::Count(count));
+    }
+}
+
+/// Forces the plane-sweep kernel (complete for any single-attribute
+/// query); returns work units. Used by benchmarks and equivalence tests.
+pub fn sweep_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
+    run(KernelKind::Sweep, q, cands, owner, sink).0
 }
 
 /// Forces the event-list sweep (complete only for colocation condition
@@ -300,41 +403,26 @@ pub fn sweep_join(
 /// `event_sweep::qualifies`); non-qualifying queries fall back to the
 /// plane sweep, which is complete for any single-attribute query.
 /// Returns work units. Used by benchmarks and equivalence tests.
-pub fn event_sweep_join(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
+pub fn event_sweep_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
     let kind = if event_sweep::qualifies(q) {
         KernelKind::EventSweep
     } else {
         KernelKind::Sweep
     };
-    run(kind, q, cands, accept, on_output).0
+    run(kind, q, cands, owner, sink).0
 }
 
 /// Forces the sort-merge kernel (complete for any single-attribute
 /// query); returns work units.
-pub fn merge_join(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    run(KernelKind::SortMerge, q, cands, accept, on_output).0
+pub fn merge_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
+    run(KernelKind::SortMerge, q, cands, owner, sink).0
 }
 
 /// Forces the windowed backtracking fallback (the pre-kernel
 /// `join_single_attr` semantics, complete for any single-attribute
 /// query including mixed Allen condition sets); returns work units.
-pub fn backtrack_join(
-    q: &JoinQuery,
-    cands: &Candidates,
-    accept: impl Fn(&[(Interval, TupleId)]) -> bool,
-    on_output: impl FnMut(&[(Interval, TupleId)]),
-) -> u64 {
-    run(KernelKind::Backtrack, q, cands, accept, on_output).0
+pub fn backtrack_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
+    run(KernelKind::Backtrack, q, cands, owner, sink).0
 }
 
 #[cfg(test)]
@@ -362,14 +450,17 @@ mod tests {
         c
     }
 
-    fn collect(
-        run: impl FnOnce(&mut dyn FnMut(&[(Interval, TupleId)])) -> u64,
-    ) -> (u64, Vec<Vec<TupleId>>) {
+    type Forced = fn(&JoinQuery, &Candidates, &Owner, Sink<'_>) -> u64;
+
+    /// Sorted bindings from `kernel` with no owner.
+    fn collect(kernel: Forced, q: &JoinQuery, c: &Candidates) -> Vec<Vec<TupleId>> {
         let mut got = Vec::new();
-        let work = run(&mut |a: &[(Interval, TupleId)]| {
+        let emit = &mut |a: &[(Interval, TupleId)]| {
             got.push(a.iter().map(|(_, t)| *t).collect::<Vec<_>>())
-        });
-        (work, got)
+        };
+        kernel(q, c, &Owner::all(), Sink::Emit(emit));
+        got.sort();
+        got
     }
 
     #[test]
@@ -425,12 +516,9 @@ mod tests {
         let q = clique3();
         for seed in 0..6 {
             let c = random_cands(3, 40, 100 + seed);
-            let (_, mut es) = collect(|e| event_sweep_join(&q, &c, |_| true, |a| e(a)));
-            let (_, mut bt) = collect(|e| backtrack_join(&q, &c, |_| true, |a| e(a)));
-            let (_, mut sw) = collect(|e| sweep_join(&q, &c, |_| true, |a| e(a)));
-            es.sort();
-            bt.sort();
-            sw.sort();
+            let es = collect(event_sweep_join, &q, &c);
+            let bt = collect(backtrack_join, &q, &c);
+            let sw = collect(sweep_join, &q, &c);
             assert!(!es.is_empty(), "workload too sparse");
             assert_eq!(es, bt, "event sweep != backtrack");
             assert_eq!(es, sw, "event sweep != dual-window sweep");
@@ -442,7 +530,7 @@ mod tests {
         let q = clique3();
         let c = random_cands(3, 30, 5);
         let mut ctx = ReduceCtx::new(0);
-        let rep = reduce_join(&mut ctx, &q, &c, |_| true, |_| {});
+        let rep = reduce_join(&mut ctx, &q, &c, &Owner::all(), Sink::Count(&mut 0));
         assert_eq!(rep.kind, KernelKind::EventSweep);
         assert_eq!(ctx.counters().get("kernel.event_sweep_buckets"), 1);
         assert_eq!(ctx.counters().get("kernel.active_peak"), rep.active_peak);
@@ -454,12 +542,9 @@ mod tests {
         for p in AllenPredicate::ALL {
             let q = JoinQuery::chain(&[p]).unwrap();
             let c = random_cands(2, 40, 7 + p as u64);
-            let (_, mut bt) = collect(|e| backtrack_join(&q, &c, |_| true, |a| e(a)));
-            let (_, mut sw) = collect(|e| sweep_join(&q, &c, |_| true, |a| e(a)));
-            let (_, mut mg) = collect(|e| merge_join(&q, &c, |_| true, |a| e(a)));
-            bt.sort();
-            sw.sort();
-            mg.sort();
+            let bt = collect(backtrack_join, &q, &c);
+            let sw = collect(sweep_join, &q, &c);
+            let mg = collect(merge_join, &q, &c);
             assert_eq!(bt, sw, "{p}: sweep != backtrack");
             assert_eq!(bt, mg, "{p}: merge != backtrack");
         }
@@ -471,7 +556,9 @@ mod tests {
         let mut c = Candidates::new(2);
         c.push(0, iv(0, 5), 0);
         c.finish();
-        let rep = execute(&q, &c, |_| true, |_| panic!("no outputs"));
+        let mut n = 0;
+        let rep = execute(&q, &c, &Owner::all(), Sink::Count(&mut n));
+        assert_eq!(n, 0);
         assert_eq!(rep.work, 0);
         assert_eq!(rep.kind, KernelKind::Sweep);
     }
@@ -481,7 +568,7 @@ mod tests {
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let c = random_cands(2, 30, 3);
         let mut ctx = ReduceCtx::new(0);
-        let rep = reduce_join(&mut ctx, &q, &c, |_| true, |_| {});
+        let rep = reduce_join(&mut ctx, &q, &c, &Owner::all(), Sink::Count(&mut 0));
         assert_eq!(ctx.work(), rep.work);
         assert_eq!(ctx.counters().get("kernel.sweep_buckets"), 1);
     }

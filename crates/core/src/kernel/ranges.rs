@@ -59,6 +59,27 @@ impl RangePair {
         bounds_contain(self.start, iv.start()) && bounds_contain(self.end, iv.end())
     }
 
+    /// Tightens the start range to `bounds` (an [`super::Owner`]'s start
+    /// window) and carries the new start floor over to the end range
+    /// (`s2 <= e2`), keeping the pair normalized.
+    pub(crate) fn restrict_start(&mut self, bounds: (Bound<Time>, Bound<Time>)) {
+        self.start.0 = tighten_lower(self.start.0, bounds.0);
+        self.start.1 = tighten_upper(self.start.1, bounds.1);
+        self.end.0 = tighten_lower(self.end.0, self.start.0);
+    }
+
+    /// Whether every valid interval starting inside `win` lies in both
+    /// ranges: `win` is no wider than the start range, and the end range
+    /// asks no more than `end >= start` already gives (as for *before*).
+    /// Conservative on bound spellings (`Excluded(4)` vs `Included(5)`),
+    /// never wrong.
+    pub(crate) fn covers(&self, win: (Bound<Time>, Bound<Time>)) -> bool {
+        tighten_lower(win.0, self.start.0) == win.0
+            && tighten_upper(win.1, self.start.1) == win.1
+            && tighten_lower(win.0, self.end.0) == win.0
+            && self.end.1 == Bound::Unbounded
+    }
+
     /// Whether either range is contradictory — no point can satisfy it.
     /// Class-independent: works on the intersected ranges of any
     /// predicate mix.
@@ -268,6 +289,44 @@ mod tests {
                 assert_eq!(rp.is_empty(), !any, "lo={lo:?} hi={hi:?}");
             }
         }
+    }
+
+    /// `covers(win)` promises that every interval starting in `win` is a
+    /// member; `restrict_start` is intersection with a start-only range.
+    #[test]
+    fn covers_and_restrict_start_are_exact() {
+        let ivs = universe(5);
+        let bounds = [
+            Bound::Unbounded,
+            Bound::Included(2),
+            Bound::Excluded(2),
+            Bound::Included(4),
+        ];
+        for &a in &ivs {
+            for p in AllenPredicate::ALL {
+                for lo in bounds {
+                    for hi in bounds {
+                        let win = (lo, hi);
+                        let rp = range_pair(p, a);
+                        let mut restricted = rp;
+                        restricted.restrict_start(win);
+                        for &b in &ivs {
+                            let in_win = bounds_contain(win, b.start());
+                            assert_eq!(restricted.contains(b), rp.contains(b) && in_win);
+                            if rp.covers(win) && in_win {
+                                assert!(rp.contains(b), "{p}: {a} covers {win:?} but not {b}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Sequence predicates are covered by their own start window.
+        let rp = range_pair(AllenPredicate::Before, iv(1, 3));
+        assert!(rp.covers(rp.start));
+        assert!(rp.covers((Bound::Included(6), Bound::Excluded(9))));
+        assert!(!range_pair(AllenPredicate::Overlaps, iv(1, 3))
+            .covers((Bound::Included(2), Bound::Included(2))));
     }
 
     #[test]

@@ -9,23 +9,17 @@
 //! routes only sequence-class queries here because the sweep kernel has
 //! the better access pattern for colocation windows.
 
+use super::ranges::range_pair;
 use super::scratch::with_scratch;
-use super::Compiled;
-use super::{ranges::range_pair, Emit, RangePair};
+use super::{leaf, Compiled, RangePair, Sink};
 use crate::executor::{window, Candidates};
 use ij_interval::{bounds_contain, Interval, TupleId};
 
 /// Runs the merge join over the whole bucket.
-pub(crate) fn run(cands: &Candidates, compiled: &Compiled, emit: &mut Emit<'_>, work: &mut u64) {
-    let rel0 = compiled.order[0];
-    let list0 = cands.list(rel0);
+pub(crate) fn run(cands: &Candidates, compiled: &Compiled, sink: &mut Sink<'_>, work: &mut u64) {
     with_scratch(|s| {
         let assignment = s.reset_assignment(compiled.order.len());
-        *work += list0.len() as u64;
-        for &(iv, tid) in list0 {
-            assignment[rel0] = (iv, tid);
-            descend(cands, compiled, 1, assignment, emit, work);
-        }
+        descend(cands, compiled, 0, assignment, sink, work);
     });
 }
 
@@ -34,27 +28,29 @@ fn descend(
     compiled: &Compiled,
     level: usize,
     assignment: &mut Vec<(Interval, TupleId)>,
-    emit: &mut Emit<'_>,
+    sink: &mut Sink<'_>,
     work: &mut u64,
 ) {
-    if level == compiled.order.len() {
-        emit(assignment);
-        return;
-    }
     let rel = compiled.order[level];
     let mut rp = RangePair::full();
     for &(other, pred) in &compiled.checks[level] {
         rp.intersect(&range_pair(pred, assignment[other].0));
     }
+    rp.restrict_start(compiled.owner.bounds(level, assignment));
     let list = cands.list(rel);
     let (from, to) = window(list, rp.start.0, rp.start.1);
     *work += (to - from) as u64;
-    for &(iv, tid) in &list[from..to] {
+    let candidates = &list[from..to];
+    if level + 1 == compiled.order.len() {
+        leaf(sink, assignment, rel, candidates, &rp);
+        return;
+    }
+    for &(iv, tid) in candidates {
         // Start membership is the window itself; the end range is the whole
         // remaining constraint — no `holds` re-check.
         if bounds_contain(rp.end, iv.end()) {
             assignment[rel] = (iv, tid);
-            descend(cands, compiled, level + 1, assignment, emit, work);
+            descend(cands, compiled, level + 1, assignment, sink, work);
         }
     }
 }

@@ -24,10 +24,11 @@
 
 use super::ranges::{range_pair, window_ends};
 use super::scratch::with_scratch;
-use super::{Compiled, Emit, RangePair};
-use crate::executor::{window, Candidates};
+use super::{leaf, Compiled, RangePair, Sink};
+use crate::executor::{tighten_lower, tighten_upper, window, Candidates};
 use ij_interval::{bounds_contain, AllenPredicate, Interval, Time, TupleId};
 use ij_query::JoinQuery;
+use std::ops::Bound;
 
 /// Precomputed sweep structures for one bucket.
 #[derive(Debug)]
@@ -115,12 +116,12 @@ impl SweepPlan {
         &self,
         cands: &Candidates,
         compiled: &Compiled,
-        emit: &mut Emit<'_>,
+        sink: &mut Sink<'_>,
         work: &mut u64,
     ) {
         match &self.pair {
-            Some(p) => p.run(cands, emit, work),
-            None => self.run_multi(cands, compiled, emit, work),
+            Some(p) => p.run(cands, compiled, sink, work),
+            None => self.run_multi(cands, compiled, sink, work),
         }
     }
 
@@ -128,17 +129,19 @@ impl SweepPlan {
         &self,
         cands: &Candidates,
         compiled: &Compiled,
-        emit: &mut Emit<'_>,
+        sink: &mut Sink<'_>,
         work: &mut u64,
     ) {
         let rel0 = compiled.order[0];
         let list0 = cands.list(rel0);
         with_scratch(|s| {
             let assignment = s.reset_assignment(compiled.order.len());
-            *work += list0.len() as u64;
-            for &(iv, tid) in list0 {
+            let (lo, hi) = compiled.owner.bounds(0, assignment);
+            let (from, to) = window(list0, lo, hi);
+            *work += (to - from) as u64;
+            for &(iv, tid) in &list0[from..to] {
                 assignment[rel0] = (iv, tid);
-                self.descend(cands, compiled, 1, assignment, emit, work);
+                self.descend(cands, compiled, 1, assignment, sink, work);
             }
         });
     }
@@ -149,39 +152,47 @@ impl SweepPlan {
         compiled: &Compiled,
         level: usize,
         assignment: &mut Vec<(Interval, TupleId)>,
-        emit: &mut Emit<'_>,
+        sink: &mut Sink<'_>,
         work: &mut u64,
     ) {
-        if level == compiled.order.len() {
-            emit(assignment);
-            return;
-        }
         let rel = compiled.order[level];
         let mut rp = RangePair::full();
         for &(other, pred) in &compiled.checks[level] {
             rp.intersect(&range_pair(pred, assignment[other].0));
         }
+        rp.restrict_start(compiled.owner.bounds(level, assignment));
         let list = cands.list(rel);
         let ends = &self.ends[rel];
         let (sfrom, sto) = window(list, rp.start.0, rp.start.1);
         let (efrom, eto) = window_ends(ends, rp.end.0, rp.end.1);
+        let last = level + 1 == compiled.order.len();
         // Scan the narrower window, filter by the other range — exact
         // either way, no `holds` re-check.
         if eto - efrom < sto - sfrom {
             *work += (eto - efrom) as u64;
             for &(_, idx) in &ends[efrom..eto] {
                 let (iv, tid) = list[idx as usize];
-                if bounds_contain(rp.start, iv.start()) {
+                if !bounds_contain(rp.start, iv.start()) {
+                    continue;
+                }
+                if last {
+                    sink.hit(assignment, rel, (iv, tid));
+                } else {
                     assignment[rel] = (iv, tid);
-                    self.descend(cands, compiled, level + 1, assignment, emit, work);
+                    self.descend(cands, compiled, level + 1, assignment, sink, work);
                 }
             }
         } else {
             *work += (sto - sfrom) as u64;
-            for &(iv, tid) in &list[sfrom..sto] {
+            let candidates = &list[sfrom..sto];
+            if last {
+                leaf(sink, assignment, rel, candidates, &rp);
+                return;
+            }
+            for &(iv, tid) in candidates {
                 if bounds_contain(rp.end, iv.end()) {
                     assignment[rel] = (iv, tid);
-                    self.descend(cands, compiled, level + 1, assignment, emit, work);
+                    self.descend(cands, compiled, level + 1, assignment, sink, work);
                 }
             }
         }
@@ -201,7 +212,7 @@ fn find(next: &mut [u32], mut i: usize) -> usize {
 }
 
 impl PairSweep {
-    fn run(&self, cands: &Candidates, emit: &mut Emit<'_>, work: &mut u64) {
+    fn run(&self, cands: &Candidates, compiled: &Compiled, sink: &mut Sink<'_>, work: &mut u64) {
         let outer_list = cands.list(self.outer_rel);
         let inner_list = cands.list(self.inner_rel);
         let n = inner_list.len();
@@ -215,12 +226,19 @@ impl PairSweep {
             next.clear();
             next.extend(0..=n as u32);
             let mut retire = if self.contains { n } else { 0 };
+            // The outer binds first: its owner bounds are fixed.
+            let outer_bounds = compiled.owner.bounds(0, assignment);
             for &oi in &self.outer_order {
                 let (o_iv, o_tid) = outer_list[oi as usize];
                 let (s1, e1) = (o_iv.start(), o_iv.end());
+                if !bounds_contain(outer_bounds, s1) {
+                    continue;
+                }
                 *work += 1;
                 assignment[self.outer_rel] = (o_iv, o_tid);
-                if self.contains {
+                let (lo, hi) = compiled.owner.bounds(1, assignment);
+                let lo = tighten_lower(lo, Bound::Excluded(s1));
+                let hi = if self.contains {
                     // Alive ⇔ e2 < e1 (outer ends descending ⇒ retire from
                     // the top of the end order). Every alive inner with
                     // s2 > s1 is a match: s2 <= e2 < e1 holds automatically.
@@ -229,14 +247,7 @@ impl PairSweep {
                         let victim = self.inner_ends[retire].1 as usize;
                         next[victim] = victim as u32 + 1;
                     }
-                    let from = inner_list.partition_point(|(iv, _)| iv.start() <= s1);
-                    let mut j = find(next, from);
-                    while j < n {
-                        *work += 1;
-                        assignment[self.inner_rel] = inner_list[j];
-                        emit(assignment);
-                        j = find(next, j + 1);
-                    }
+                    hi
                 } else {
                     // Alive ⇔ e2 > e1 (outer ends ascending ⇒ retire from
                     // the bottom). Every alive inner with s2 ∈ (s1, e1) is
@@ -246,14 +257,14 @@ impl PairSweep {
                         next[victim] = victim as u32 + 1;
                         retire += 1;
                     }
-                    let from = inner_list.partition_point(|(iv, _)| iv.start() <= s1);
-                    let mut j = find(next, from);
-                    while j < n && inner_list[j].0.start() < e1 {
-                        *work += 1;
-                        assignment[self.inner_rel] = inner_list[j];
-                        emit(assignment);
-                        j = find(next, j + 1);
-                    }
+                    tighten_upper(hi, Bound::Excluded(e1))
+                };
+                let (from, to) = window(inner_list, lo, hi);
+                let mut j = find(next, from);
+                while j < to {
+                    *work += 1;
+                    sink.hit(assignment, self.inner_rel, inner_list[j]);
+                    j = find(next, j + 1);
                 }
             }
         });

@@ -19,7 +19,7 @@
 use crate::algorithm::{empty_output, iv_records, require_single_attr, AlgoError, Algorithm};
 use crate::executor::Candidates;
 use crate::input::JoinInput;
-use crate::kernel;
+use crate::kernel::{self, Owner};
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{IvRec, OutRec};
 use ij_mapreduce::metrics::names;
@@ -112,24 +112,7 @@ impl Algorithm for OneBucketTheta {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                let mut count = 0u64;
-                let rep = kernel::reduce_join(
-                    ctx,
-                    &q,
-                    &cands,
-                    |_| true,
-                    |a| {
-                        count += 1;
-                        if mode == OutputMode::Materialize {
-                            out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                        }
-                    },
-                );
-                ctx.inc(names::JOIN_CANDIDATES, rep.work);
-                ctx.inc(names::JOIN_EMITTED, count);
-                if mode == OutputMode::Count && count > 0 {
-                    out.push(OutRec::Count(count));
-                }
+                kernel::reduce_into(ctx, &q, &cands, &Owner::all(), mode, out);
             },
         )?;
         let mut chain = JobChain::new();

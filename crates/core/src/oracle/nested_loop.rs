@@ -2,6 +2,7 @@
 
 use crate::executor::{join_single_attr, join_tuples, Candidates};
 use crate::input::JoinInput;
+use crate::kernel::{Owner, Sink};
 use crate::output::OutputTuple;
 use ij_interval::TupleId;
 use ij_query::{JoinQuery, QueryClass};
@@ -40,14 +41,10 @@ pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
             }
         }
         cands.finish();
-        join_single_attr(
-            q,
-            &cands,
-            |_| true,
-            |a| {
-                out.push(a.iter().map(|(_, tid)| *tid).collect());
-            },
-        );
+        let emit = &mut |a: &[(ij_interval::Interval, TupleId)]| {
+            out.push(a.iter().map(|(_, tid)| *tid).collect());
+        };
+        join_single_attr(q, &cands, &Owner::all(), Sink::Emit(emit));
     }
     out.sort_unstable();
     out

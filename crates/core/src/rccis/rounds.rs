@@ -5,7 +5,7 @@ use crate::algorithm::{
 };
 use crate::executor::Candidates;
 use crate::input::JoinInput;
-use crate::kernel;
+use crate::kernel::{self, Owner};
 use crate::output::{JoinOutput, OutputMode};
 use crate::records::{FlagRec, IvRec, OutRec};
 use ij_interval::{ops, Interval, Partitioning, TupleId};
@@ -197,29 +197,8 @@ pub(crate) fn run_join_cycle(
                 cands.push(v.rel.idx(), v.iv, v.tid);
             }
             cands.finish();
-            let own = ctx.key as usize;
-            let partr = &partc;
-            let mut count = 0u64;
-            let rep = kernel::reduce_join(
-                ctx,
-                &q,
-                &cands,
-                |a: &[(Interval, TupleId)]| {
-                    let max_start = a.iter().map(|(iv, _)| iv.start()).max().expect("nonempty");
-                    partr.index_of(max_start) == own
-                },
-                |a| {
-                    count += 1;
-                    if mode == OutputMode::Materialize {
-                        out.push(OutRec::Tuple(a.iter().map(|(_, t)| *t).collect()));
-                    }
-                },
-            );
-            ctx.inc(names::JOIN_CANDIDATES, rep.work);
-            ctx.inc(names::JOIN_EMITTED, count);
-            if mode == OutputMode::Count && count > 0 {
-                out.push(OutRec::Count(count));
-            }
+            let owner = Owner::all().with_group(0..m, &partc, ctx.key as usize);
+            kernel::reduce_into(ctx, &q, &cands, &owner, mode, out);
         },
     )?;
     chain.push(out.metrics);

@@ -7,12 +7,17 @@
 //! guaranteed colocation sets), checked here on colocation cliques and
 //! containment chains of arity 3–4. The dispatching kernel, which routes
 //! each query to one of them, must agree as well.
+//!
+//! Ownership pushed into the kernel windows must be exact: under any
+//! [`Owner`], every kernel enumerates precisely the bindings whose greatest
+//! start per group lies in the group's partition, and `Sink::Count`
+//! counts exactly those.
 
 use ij_core::executor::Candidates;
-use ij_core::kernel;
+use ij_core::kernel::{self, Owner, Sink};
 use ij_core::oracle::oracle_join;
 use ij_core::JoinInput;
-use ij_interval::{AllenPredicate, Interval, Relation, TupleId};
+use ij_interval::{AllenPredicate, Interval, Partitioning, Relation, TupleId};
 use ij_query::{Condition, JoinQuery};
 use proptest::prelude::*;
 
@@ -51,30 +56,32 @@ fn build_inputs(q: &JoinQuery, rels: &[Vec<Interval>]) -> (Candidates, JoinInput
     (cands, input)
 }
 
+/// The forced kernels plus the dispatcher, in the order
+/// [`all_kernel_results`] reports them.
+const KERNELS: [(&str, Kernel); 5] = [
+    ("backtrack", kernel::backtrack_join),
+    ("sweep", kernel::sweep_join),
+    ("merge", kernel::merge_join),
+    ("dispatch", |q, c, o, s| kernel::execute(q, c, o, s).work),
+    ("event sweep", kernel::event_sweep_join),
+];
+
+type Kernel = fn(&JoinQuery, &Candidates, &Owner, Sink<'_>) -> u64;
+
+/// Sorted bindings `run` emits under `owner`.
+fn emitted(run: Kernel, q: &JoinQuery, cands: &Candidates, owner: &Owner) -> Vec<Vec<TupleId>> {
+    let mut got: Vec<Vec<TupleId>> = Vec::new();
+    let emit = &mut |a: &[(Interval, TupleId)]| got.push(a.iter().map(|(_, t)| *t).collect());
+    run(q, cands, owner, Sink::Emit(emit));
+    got.sort();
+    got
+}
+
 /// Sorted result sets from the three forced kernels and the dispatching
 /// kernel, for the caller to compare with each other and the oracle.
 fn all_kernel_results(q: &JoinQuery, cands: &Candidates) -> [Vec<Vec<TupleId>>; 4] {
-    type Emit<'a> = dyn FnMut(&[(Interval, TupleId)]) + 'a;
-    let collect = |run: &dyn Fn(&mut Emit<'_>)| {
-        let mut got: Vec<Vec<TupleId>> = Vec::new();
-        run(&mut |a| got.push(a.iter().map(|(_, t)| *t).collect()));
-        got.sort();
-        got
-    };
-    [
-        collect(&|emit| {
-            kernel::backtrack_join(q, cands, |_| true, |a| emit(a));
-        }),
-        collect(&|emit| {
-            kernel::sweep_join(q, cands, |_| true, |a| emit(a));
-        }),
-        collect(&|emit| {
-            kernel::merge_join(q, cands, |_| true, |a| emit(a));
-        }),
-        collect(&|emit| {
-            kernel::execute(q, cands, |_| true, |a| emit(a));
-        }),
-    ]
+    let all = Owner::all();
+    [0, 1, 2, 3].map(|k| emitted(KERNELS[k].1, q, cands, &all))
 }
 
 /// The 11 colocation predicates (everything but before/after) — the
@@ -170,11 +177,7 @@ proptest! {
         let q = clique(m, &preds);
         let rels = &seed_rels[..m as usize];
         let (cands, input) = build_inputs(&q, rels);
-        let mut es: Vec<Vec<TupleId>> = Vec::new();
-        kernel::event_sweep_join(&q, &cands, |_| true, |a| {
-            es.push(a.iter().map(|(_, t)| *t).collect())
-        });
-        es.sort();
+        let es = emitted(kernel::event_sweep_join, &q, &cands, &Owner::all());
         let [bt, ..] = all_kernel_results(&q, &cands);
         let mut oracle = oracle_join(&q, &input);
         oracle.sort();
@@ -202,13 +205,121 @@ proptest! {
         let m = q.num_relations() as usize;
         let rels = &seed_rels[..m];
         let (cands, input) = build_inputs(&q, rels);
-        let mut es: Vec<Vec<TupleId>> = Vec::new();
-        kernel::event_sweep_join(&q, &cands, |_| true, |a| {
-            es.push(a.iter().map(|(_, t)| *t).collect())
-        });
-        es.sort();
+        let es = emitted(kernel::event_sweep_join, &q, &cands, &Owner::all());
         let mut oracle = oracle_join(&q, &input);
         oracle.sort();
         prop_assert_eq!(&es, &oracle, "event sweep != oracle for {}", q);
+    }
+}
+
+/// A partitioning of 2–6 partitions whose first boundary sits inside the
+/// start span (so starts clamp into partition 0) and whose last sits
+/// before the largest starts (so starts clamp into the last partition).
+fn partitioning_strategy() -> impl Strategy<Value = Partitioning> {
+    proptest::collection::vec(1i64..28, 3..8usize).prop_map(|mut b| {
+        b.sort_unstable();
+        b.dedup();
+        if b.len() < 3 {
+            b = vec![4, 11, 23];
+        }
+        Partitioning::from_boundaries(b).expect("strictly increasing")
+    })
+}
+
+/// Adds to each relation an interval starting on a partition boundary.
+fn with_boundary_starts(rels: &mut [Vec<Interval>], part: &Partitioning, picks: &[usize]) {
+    let b = part.boundaries();
+    for (r, ivs) in rels.iter_mut().enumerate() {
+        let s = b[picks[r] % b.len()];
+        ivs.push(Interval::new(s, s + (picks[r] as i64 % 7)).unwrap());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Every kernel, under both sinks, produces exactly the unowned
+    /// result filtered by the ownership rule — one group over all
+    /// relations (RCCIS) or one per colocation component (the matrix
+    /// joins).
+    #[test]
+    fn owner_bounds_are_exact(
+        shape in 0usize..3,
+        preds in proptest::collection::vec(pred_strategy(), 1..4usize),
+        coloc in proptest::collection::vec(colocation_pred_strategy(), 6),
+        m in 3u16..5,
+        per_component in 0u8..2,
+        part in partitioning_strategy(),
+        coords in proptest::array::uniform4(0usize..64),
+        picks in proptest::array::uniform4(0usize..8),
+        seed_rels in proptest::array::uniform4(rel_strategy()),
+    ) {
+        let q = match shape {
+            0 => JoinQuery::chain(&preds).unwrap(),
+            // Containment-family chains qualify for the event sweep.
+            1 => {
+                use AllenPredicate::*;
+                let family = [Contains, ContainedBy, Starts, Finishes, Contains];
+                let links: Vec<_> = picks[..m as usize - 1].iter().map(|&i| family[i % 5]).collect();
+                JoinQuery::chain(&links).unwrap()
+            }
+            // A hybrid chain: colocation links with a sequence link.
+            _ => {
+                let mut links = coloc[..m as usize - 1].to_vec();
+                links[coords[3] % (m as usize - 1)] = AllenPredicate::Before;
+                JoinQuery::chain(&links).unwrap()
+            }
+        };
+        let n = q.num_relations() as usize;
+        let mut rels = seed_rels[..n].to_vec();
+        with_boundary_starts(&mut rels, &part, &picks);
+        let (cands, _) = build_inputs(&q, &rels);
+        let members: Vec<Vec<usize>> = if per_component == 1 {
+            q.components()
+                .components
+                .iter()
+                .map(|c| c.vertices.iter().map(|v| v.rel.idx()).collect())
+                .collect()
+        } else {
+            vec![(0..n).collect()]
+        };
+        // Every binding, with its intervals, for the rule to judge.
+        let mut all: Vec<Vec<(Interval, TupleId)>> = Vec::new();
+        kernel::execute(&q, &cands, &Owner::all(), Sink::Emit(&mut |a| all.push(a.to_vec())));
+        // Each cell of coordinates (one per group) owns a disjoint share;
+        // small cell spaces are covered whole, so the shares must add up.
+        let cells = part.len().pow(members.len() as u32);
+        let mut owned_total = 0;
+        for cell in (0..cells.min(64)).map(|c| (c + coords[0]) % cells) {
+            let coord: Vec<usize> = (0..members.len())
+                .map(|g| cell / part.len().pow(g as u32) % part.len())
+                .collect();
+            let owner = members.iter().zip(&coord).fold(Owner::all(), |o, (ms, &c)| {
+                o.with_group(ms.iter().copied(), &part, c)
+            });
+            // Reference: the old rule on finished bindings.
+            let mut reference: Vec<Vec<TupleId>> = all
+                .iter()
+                .filter(|a| {
+                    members.iter().zip(&coord).all(|(ms, &c)| {
+                        let max_start = ms.iter().map(|&r| a[r].0.start()).max().unwrap();
+                        part.index_of(max_start) == c
+                    })
+                })
+                .map(|a| a.iter().map(|(_, t)| *t).collect())
+                .collect();
+            reference.sort();
+            owned_total += reference.len();
+            for (name, run) in KERNELS {
+                let got = emitted(run, &q, &cands, &owner);
+                prop_assert_eq!(&got, &reference, "{} emits the wrong set for {}", name, q);
+                let mut count = 0;
+                run(&q, &cands, &owner, Sink::Count(&mut count));
+                prop_assert_eq!(count, reference.len() as u64, "{} miscounts {}", name, q);
+            }
+        }
+        if cells <= 64 {
+            prop_assert_eq!(owned_total, all.len(), "cells must partition {}", q);
+        }
     }
 }

@@ -375,6 +375,7 @@ impl FromStr for AllenPredicate {
 
 /// Checks whether a point `t` satisfies bounds produced by
 /// [`AllenPredicate::right_start_bounds`].
+#[inline]
 pub fn bounds_contain(bounds: (Bound<Time>, Bound<Time>), t: Time) -> bool {
     let lower_ok = match bounds.0 {
         Bound::Unbounded => true,

@@ -8,6 +8,7 @@
 use crate::interval::{Interval, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Bound;
 
 /// Index of a partition-interval within a [`Partitioning`].
 pub type PartitionIndex = usize;
@@ -172,6 +173,27 @@ impl Partitioning {
         pos.saturating_sub(1).min(self.len() - 1)
     }
 
+    /// The time points [`index_of`](Partitioning::index_of) maps to
+    /// partition `i`, as start-point bounds. The clamp shows: partition `0`
+    /// is unbounded below and the last partition unbounded above. An index
+    /// past the end gets an empty range, as `index_of` never returns it.
+    pub fn index_range(&self, i: PartitionIndex) -> (Bound<Time>, Bound<Time>) {
+        if i >= self.len() {
+            return (Bound::Excluded(Time::MAX), Bound::Unbounded);
+        }
+        let lo = if i == 0 {
+            Bound::Unbounded
+        } else {
+            Bound::Included(self.boundaries[i])
+        };
+        let hi = if i + 1 == self.len() {
+            Bound::Unbounded
+        } else {
+            Bound::Excluded(self.boundaries[i + 1])
+        };
+        (lo, hi)
+    }
+
     /// Whether interval `u` has at least one point in common with
     /// partition-interval `i`.
     pub fn intersects_partition(&self, u: Interval, i: PartitionIndex) -> bool {
@@ -334,6 +356,22 @@ mod tests {
             p.boundaries(),
             Partitioning::equi_width(0, 40, 4).unwrap().boundaries()
         );
+    }
+
+    #[test]
+    fn index_range_is_the_preimage_of_index_of() {
+        let p = Partitioning::from_boundaries(vec![0, 10, 20, 35]).unwrap();
+        for i in 0..5 {
+            for t in -20..60 {
+                assert_eq!(
+                    crate::bounds_contain(p.index_range(i), t),
+                    p.index_of(t) == i,
+                    "partition {i}, point {t}"
+                );
+            }
+        }
+        let one = Partitioning::from_boundaries(vec![0, 10]).unwrap();
+        assert_eq!(one.index_range(0), (Bound::Unbounded, Bound::Unbounded));
     }
 
     #[test]
