@@ -29,6 +29,7 @@ use ij_core::rccis::Rccis;
 use ij_core::{JoinInput, OutputMode};
 use ij_datagen::{Distribution, SynthConfig};
 use ij_interval::AllenPredicate::{Before, Overlaps};
+use ij_mapreduce::TelemetrySnapshot;
 use ij_query::JoinQuery;
 
 fn main() {
@@ -36,11 +37,10 @@ fn main() {
         0.03,
         "sweep: ablations (distributions, scale crossover, D1)",
     );
-    let (engine, tracer, telemetry) = instrumented_engine(
+    let (engine, tracer) = instrumented_engine(
         args.slots,
-        args.trace.is_some(),
         args.budget,
-        args.metrics_out.is_some(),
+        args.trace.is_some() || args.metrics_out.is_some(),
     );
 
     // ---- 1. Distribution sweep on Q1 ---------------------------------------
@@ -383,10 +383,11 @@ fn main() {
             fmt_sim(depth.simulated).into(),
         ]);
     }
-    if let Some(tel) = &telemetry {
-        rep.note(telemetry_note(&tel.snapshot()));
+    if let Some(t) = &tracer {
+        let snap = TelemetrySnapshot::from_events(&t.snapshot());
+        rep.note(telemetry_note(&snap));
     }
     rep.finish(args.json.as_deref());
     write_trace(args.trace.as_deref(), &tracer);
-    write_metrics(args.metrics_out.as_deref(), &telemetry);
+    write_metrics(args.metrics_out.as_deref(), &tracer);
 }

@@ -21,6 +21,7 @@ use ij_core::rccis::Rccis;
 use ij_core::{JoinInput, OutputMode};
 use ij_datagen::SynthConfig;
 use ij_interval::AllenPredicate::Overlaps;
+use ij_mapreduce::TelemetrySnapshot;
 use ij_query::JoinQuery;
 
 fn main() {
@@ -28,11 +29,10 @@ fn main() {
         0.05,
         "table1: Q1 = R1 ov R2 ov R3, varying nI (paper: 0.5M..1.25M)",
     );
-    let (engine, tracer, telemetry) = instrumented_engine(
+    let (engine, tracer) = instrumented_engine(
         args.slots,
-        args.trace.is_some(),
         args.budget,
-        args.metrics_out.is_some(),
+        args.trace.is_some() || args.metrics_out.is_some(),
     );
     let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
     let paper_sizes: [u64; 4] = [500_000, 750_000, 1_000_000, 1_250_000];
@@ -155,8 +155,9 @@ fn main() {
             fmt_spill(&rc.counters, rc.spill_secs)
         );
     }
-    if let Some(tel) = &telemetry {
-        report.note(telemetry_note(&tel.snapshot()));
+    if let Some(t) = &tracer {
+        let snap = TelemetrySnapshot::from_events(&t.snapshot());
+        report.note(telemetry_note(&snap));
     }
     report.finish(args.json.as_deref());
     for n in counters_note {
@@ -164,5 +165,5 @@ fn main() {
     }
     skew_rep.finish(None);
     write_trace(args.trace.as_deref(), &tracer);
-    write_metrics(args.metrics_out.as_deref(), &telemetry);
+    write_metrics(args.metrics_out.as_deref(), &tracer);
 }

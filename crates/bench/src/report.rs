@@ -241,23 +241,20 @@ fn fmt_secs(s: f64) -> String {
 }
 
 /// Summarizes a [`TelemetrySnapshot`] as a one-line report note: job and
-/// reducer progress, heartbeat counts, detected stragglers, and the
-/// reduce service-time histogram's spread when it was recorded.
+/// reducer progress, and the reduce service-time histogram's spread when
+/// it holds samples.
 pub fn telemetry_note(snap: &TelemetrySnapshot) -> String {
     let s = |name: &str| snap.series.get(name).copied().unwrap_or(0);
     let mut out = format!(
-        "telemetry: jobs {}/{} reducers {}/{} heartbeats map={} reduce={} stragglers={}",
+        "telemetry: jobs {}/{} reducers {}/{}",
         s(names::PROGRESS_JOBS_FINISHED),
         s(names::PROGRESS_JOBS_STARTED),
         s(names::PROGRESS_REDUCERS_DONE),
         s(names::PROGRESS_REDUCERS),
-        s(names::HEARTBEATS_MAP),
-        s(names::HEARTBEATS_REDUCE),
-        s(names::TELEMETRY_STRAGGLERS),
     );
-    if let Some(h) = snap.histograms.get(names::REDUCE_SERVICE_NS) {
+    if let Some(h) = snap.histograms.get(names::REDUCE_SERVICE_US) {
         if let (Some(min), Some(max)) = (h.min(), h.max()) {
-            out.push_str(&format!(" service_ns[min={min} max={max} n={}]", h.count()));
+            out.push_str(&format!(" service_us[min={min} max={max} n={}]", h.count()));
         }
     }
     out
@@ -440,21 +437,19 @@ mod tests {
         let mut snap = TelemetrySnapshot::default();
         let empty = telemetry_note(&snap);
         assert!(empty.contains("jobs 0/0"), "{empty}");
-        assert!(!empty.contains("service_ns"), "{empty}");
+        assert!(!empty.contains("service_us"), "{empty}");
         snap.series.insert("progress.jobs_started".into(), 3);
         snap.series.insert("progress.jobs_finished".into(), 3);
         snap.series.insert("progress.reducers".into(), 16);
         snap.series.insert("progress.reducers_done".into(), 16);
-        snap.series.insert("telemetry.stragglers".into(), 2);
         let mut h = ij_mapreduce::Histogram::new();
         h.record(100);
         h.record(900);
-        snap.histograms.insert("reduce.service_ns".into(), h);
+        snap.histograms.insert("reduce.service_us".into(), h);
         let note = telemetry_note(&snap);
         assert!(note.contains("jobs 3/3"), "{note}");
         assert!(note.contains("reducers 16/16"), "{note}");
-        assert!(note.contains("stragglers=2"), "{note}");
-        assert!(note.contains("service_ns[min=100 max=900 n=2]"), "{note}");
+        assert!(note.contains("service_us[min=100 max=900 n=2]"), "{note}");
     }
 
     #[test]

@@ -50,9 +50,9 @@ pub struct BenchArgs {
     /// exceeding it spill to the Dfs. `None` (the default) keeps every
     /// bucket in memory.
     pub budget: Option<u64>,
-    /// Where to write the live-telemetry snapshot in Prometheus text
-    /// exposition format after the run, if anywhere. Setting this also
-    /// attaches the telemetry plane to the engine.
+    /// Where to write the Prometheus text fold of the run's trace after
+    /// the run, if anywhere. Setting this also attaches a tracer to the
+    /// engine.
     pub metrics_out: Option<String>,
 }
 

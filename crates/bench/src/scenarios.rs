@@ -1,7 +1,7 @@
 //! Shared measurement plumbing for the per-table/figure binaries.
 
 use ij_core::{Algorithm, JoinInput, JoinOutput};
-use ij_mapreduce::{ClusterConfig, Counters, Engine, Telemetry, Tracer};
+use ij_mapreduce::{ClusterConfig, Counters, Engine, TelemetrySnapshot, Tracer};
 use ij_query::JoinQuery;
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,59 +46,35 @@ pub fn engine(slots: usize) -> Engine {
     Engine::new(ClusterConfig::with_slots(slots))
 }
 
-/// Builds the simulated cluster, attaching a [`Tracer`] when `traced` —
-/// the `--trace <path>` path of the bench binaries — and applying the
-/// `--budget <bytes>` reduce-memory budget when given (oversized reducer
-/// buckets then spill to the Dfs and `spill.*` counters appear in the
-/// tables). The tracer records every job run against the engine; dump it
-/// with [`write_trace`].
-pub fn traced_engine(
-    slots: usize,
-    traced: bool,
-    budget: Option<u64>,
-) -> (Engine, Option<Arc<Tracer>>) {
-    let (engine, tracer, _) = instrumented_engine(slots, traced, budget, false);
-    (engine, tracer)
-}
-
-/// [`traced_engine`] plus the live-telemetry plane: when `metrics`, a
-/// [`Telemetry`] instance (monotonic clock, default heartbeat/straggler
-/// config) is attached to the engine, accumulating progress gauges,
-/// histograms and flight-recorder events across every job run. Dump the
-/// final snapshot with [`write_metrics`] — the `--metrics-out <path>`
-/// path of the bench binaries.
+/// Builds the simulated cluster, applying the `--budget <bytes>`
+/// reduce-memory budget when given (oversized reducer buckets then spill
+/// to the Dfs and `spill.*` counters appear in the tables). With
+/// `observed` — the bench binaries' `--trace <path>` and/or
+/// `--metrics-out <path>` — one [`Tracer`] is attached and records every
+/// job run against the engine; dump it with [`write_trace`] and
+/// [`write_metrics`].
 pub fn instrumented_engine(
     slots: usize,
-    traced: bool,
     budget: Option<u64>,
-    metrics: bool,
-) -> (Engine, Option<Arc<Tracer>>, Option<Arc<Telemetry>>) {
-    let mut engine = Engine::new(ClusterConfig {
+    observed: bool,
+) -> (Engine, Option<Arc<Tracer>>) {
+    let engine = Engine::new(ClusterConfig {
         reduce_memory_budget: budget,
         ..ClusterConfig::with_slots(slots)
     });
-    let tracer = if traced {
+    if observed {
         let tracer = Arc::new(Tracer::new());
-        engine = engine.with_tracer(tracer.clone());
-        Some(tracer)
+        (engine.with_tracer(tracer.clone()), Some(tracer))
     } else {
-        None
-    };
-    let telemetry = if metrics {
-        let telemetry = Arc::new(Telemetry::new());
-        engine = engine.with_telemetry(Arc::clone(&telemetry));
-        Some(telemetry)
-    } else {
-        None
-    };
-    (engine, tracer, telemetry)
+        (engine, None)
+    }
 }
 
-/// Writes the telemetry snapshot to `path` in Prometheus text exposition
-/// format (no-op without an attached telemetry plane).
-pub fn write_metrics(path: Option<&str>, telemetry: &Option<Arc<Telemetry>>) {
-    if let (Some(path), Some(tel)) = (path, telemetry) {
-        let snap = tel.snapshot();
+/// Writes the Prometheus fold of the trace to `path` (no-op without a
+/// tracer).
+pub fn write_metrics(path: Option<&str>, tracer: &Option<Arc<Tracer>>) {
+    if let (Some(path), Some(t)) = (path, tracer) {
+        let snap = TelemetrySnapshot::from_events(&t.snapshot());
         std::fs::write(path, snap.to_prometheus())
             .unwrap_or_else(|e| panic!("cannot write metrics {path}: {e}"));
         eprintln!(
@@ -204,8 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn traced_engine_records_jobs_and_writes_chrome_json() {
-        let (e, tracer) = traced_engine(4, true, None);
+    fn instrumented_engine_records_jobs_and_writes_chrome_json() {
+        let (e, tracer) = instrumented_engine(4, None, true);
         assert!(tracer.is_some());
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let input = JoinInput::bind_owned(
@@ -233,15 +209,14 @@ mod tests {
         assert!(written.starts_with("{\"traceEvents\":["));
         let _ = std::fs::remove_file(&path);
 
-        let (_, no_tracer) = traced_engine(4, false, None);
+        let (_, no_tracer) = instrumented_engine(4, None, false);
         assert!(no_tracer.is_none());
         write_trace(None, &no_tracer); // no-op must not panic
     }
 
     #[test]
-    fn instrumented_engine_collects_telemetry_and_writes_prometheus() {
-        let (e, _, telemetry) = instrumented_engine(4, false, None, true);
-        assert!(telemetry.is_some());
+    fn instrumented_engine_folds_its_trace_into_prometheus() {
+        let (e, tracer) = instrumented_engine(4, None, true);
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let input = JoinInput::bind_owned(
             &q,
@@ -257,19 +232,24 @@ mod tests {
         };
         let m = measure(&alg, &q, &input, &e);
         assert_eq!(m.output, 1);
-        let tel = telemetry.as_ref().unwrap();
-        let snap = tel.snapshot();
-        assert!(snap.series["progress.jobs_finished"] > 0);
         let path = std::env::temp_dir().join("ij_bench_metrics_test.prom");
-        write_metrics(path.to_str(), &telemetry);
+        write_metrics(path.to_str(), &tracer);
         let written = std::fs::read_to_string(&path).unwrap();
         assert!(written.contains("# TYPE ij_progress_jobs_started gauge"));
-        assert!(written.contains("ij_telemetry_stragglers"));
+        let reduce_spans = tracer
+            .as_ref()
+            .unwrap()
+            .snapshot()
+            .iter()
+            .filter(|e| e.kind == ij_mapreduce::SpanKind::Reduce)
+            .count();
+        assert!(reduce_spans > 0);
+        assert!(
+            written.contains(&format!("ij_reduce_bucket_pairs_count {reduce_spans}\n")),
+            "one bucket-pairs sample per reduce span: {written}"
+        );
         let _ = std::fs::remove_file(&path);
-
-        let (_, _, no_tel) = instrumented_engine(4, false, None, false);
-        assert!(no_tel.is_none());
-        write_metrics(None, &no_tel); // no-op must not panic
+        write_metrics(None, &tracer); // no-op must not panic
     }
 
     #[test]
@@ -290,12 +270,12 @@ mod tests {
             partitions: 2,
             mode: OutputMode::Count,
         };
-        let (unbudgeted, _) = traced_engine(4, false, None);
+        let (unbudgeted, _) = instrumented_engine(4, None, false);
         let base = measure(&alg, &q, &input, &unbudgeted);
         assert_eq!(base.counters.get("spill.buckets"), 0);
         assert_eq!(base.spill_secs, 0.0);
 
-        let (budgeted, _) = traced_engine(4, false, Some(64));
+        let (budgeted, _) = instrumented_engine(4, Some(64), false);
         let m = measure(&alg, &q, &input, &budgeted);
         assert_eq!(m.output, base.output, "budget must not change the join");
         assert!(m.counters.get("spill.buckets") > 0);

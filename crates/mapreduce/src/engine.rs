@@ -25,14 +25,9 @@
 //! run (chunk) index and per-run order is emission order, so the merged
 //! stream equals a stable sort of the concatenated map outputs — identical
 //! for every `worker_threads` count. Each phase is timed separately and
-//! reported through [`JobMetrics`].
-
-#![expect(
-    clippy::disallowed_methods,
-    reason = "Instant feeds only the wall/map/shuffle/reduce duration metrics in \
-              JobMetrics; durations are never keyed, emitted, or otherwise able to \
-              reach job output"
-)]
+//! reported through [`JobMetrics`]: every phase boundary is read once from
+//! the engine's one [`Clock`] — the attached [`Tracer`]'s — and that
+//! reading gives both the `JobMetrics` wall and the phase span.
 
 use crate::cost::{CostModel, ReducerCost};
 use crate::dfs::DfsError;
@@ -41,16 +36,16 @@ use crate::fault::FaultPlan;
 use crate::job::{BucketSource, Emitter, Mapper, ReduceCtx, Reducer, ReducerId, SortedRun};
 use crate::metrics::{names, Counters, JobMetrics, ReducerLoad};
 use crate::record::Record;
-use crate::spill::{SpillRun, SpillStats, SpillStore, SpilledBucket};
-use crate::telemetry::{detect_stragglers, HistogramRegistry, Telemetry};
-use crate::trace::{SpanKind, TraceEvent, Tracer};
+use crate::spill::{SpillRun, SpillStats, SpillStore};
+use crate::telemetry::{Clock, MonotonicClock};
+use crate::trace::{spans, SpanKind, TraceEvent, Tracer};
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cluster shape and cost parameters.
 #[derive(Debug, Clone)]
@@ -118,13 +113,46 @@ pub struct JobOutput<O> {
 type ReducePhaseResult<O> = (Vec<(ReducerId, Vec<O>)>, Vec<ReducerLoad>, Counters, u64);
 
 /// The MapReduce engine. Cheap to construct; holds only configuration, an
-/// optional fault plan, an optional tracer and an optional telemetry plane.
+/// optional fault plan and an optional tracer, its one observer.
 #[derive(Debug, Default)]
 pub struct Engine {
     cfg: ClusterConfig,
     faults: Option<Arc<FaultPlan>>,
     tracer: Option<Arc<Tracer>>,
-    telemetry: Option<Arc<Telemetry>>,
+}
+
+/// What one job observes through: the clock every wall and span is read
+/// from — the attached tracer's, so walls and spans share their readings —
+/// and the tracer itself, if any.
+struct Observer<'a> {
+    clock: Arc<dyn Clock>,
+    tracer: Option<&'a Tracer>,
+}
+
+impl Observer<'_> {
+    /// One clock reading, in nanoseconds.
+    fn now(&self) -> u64 {
+        self.clock.now_nanos()
+    }
+
+    /// Records `event` when a tracer is attached.
+    fn record(&self, event: TraceEvent) {
+        if let Some(t) = self.tracer {
+            t.record(event);
+        }
+    }
+
+    /// Records a worker batch when a tracer is attached.
+    fn record_batch(&self, events: Vec<TraceEvent>) {
+        if let Some(t) = self.tracer {
+            t.record_batch(events);
+        }
+    }
+}
+
+/// The wall between two clock readings.
+fn wall(from_ns: u64, to_ns: u64) -> Duration {
+    Duration::from_nanos(to_ns.saturating_sub(from_ns))
 }
 
 impl Engine {
@@ -134,7 +162,6 @@ impl Engine {
             cfg,
             faults: None,
             tracer: None,
-            telemetry: None,
         }
     }
 
@@ -145,9 +172,10 @@ impl Engine {
     }
 
     /// Attaches a [`Tracer`]: every subsequent job records job / phase /
-    /// per-worker task / per-reducer spans into it (see [`crate::trace`]).
-    /// Without a tracer the engine records nothing and pays only a
-    /// per-phase `Option` check.
+    /// per-worker task / per-reducer / spill spans into it (see
+    /// [`crate::trace`]), and times its [`JobMetrics`] walls on the
+    /// tracer's clock. Without a tracer the engine records nothing and
+    /// times its phases on a fresh [`MonotonicClock`] per job.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -158,18 +186,18 @@ impl Engine {
         self.tracer.as_ref()
     }
 
-    /// Attaches a live [`Telemetry`] plane: every subsequent job feeds
-    /// progress gauges, heartbeats, histograms, the straggler detector and
-    /// the flight recorder (see [`crate::telemetry`]). Without one the
-    /// engine pays only per-phase `Option` checks.
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The attached telemetry plane, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+    /// The clock and tracer one job observes through.
+    fn observer(&self) -> Observer<'_> {
+        match &self.tracer {
+            Some(t) => Observer {
+                clock: Arc::clone(t.clock()),
+                tracer: Some(t),
+            },
+            None => Observer {
+                clock: Arc::new(MonotonicClock::new()),
+                tracer: None,
+            },
+        }
     }
 
     /// The engine's configuration.
@@ -209,18 +237,26 @@ impl Engine {
         M: Record,
         O: Record,
     {
-        let result = self.run_job_inner(name, input, mapper, reducer);
-        // The flight-recorder dump on the typed-error path: freeze the
-        // recent-events ring as JSONL for forensics (readable via
-        // [`Telemetry::last_flight_dump`]).
-        if let (Err(e), Some(tel)) = (&result, &self.telemetry) {
-            tel.note_error(name, e);
+        let obs = self.observer();
+        let start = obs.now();
+        let result = self.run_job_inner(&obs, start, name, input, mapper, reducer);
+        if result.is_err() {
+            // A failed job's trace is its forensic record: the phases and
+            // reducers that finished are already in it, and the job span
+            // closes it, marked failed.
+            obs.record(
+                TraceEvent::between_ns(SpanKind::Job, name, 0, start, obs.now())
+                    .arg("records", input.len() as u64)
+                    .arg("failed", 1),
+            );
         }
         result
     }
 
     fn run_job_inner<I, M, O>(
         &self,
+        obs: &Observer<'_>,
+        start: u64,
         name: &str,
         input: &[I],
         mapper: impl Mapper<I, M>,
@@ -231,32 +267,15 @@ impl Engine {
         M: Record,
         O: Record,
     {
-        let start = Instant::now();
-        let tracer = self.tracer.as_deref();
-        let telemetry = self.telemetry.as_deref();
-        let job_t0 = tracer.map(Tracer::now_us).unwrap_or(0);
-        if let Some(tel) = telemetry {
-            tel.job_start(name, input.len() as u64);
-        }
-
         // ---- Map phase: per-worker locally sorted runs ---------------------
-        let map_start = Instant::now();
-        let map_t0 = tracer.map(Tracer::now_us).unwrap_or(0);
-        let (runs, map_input_bytes, mut counters) = self.run_map_phase(name, input, &mapper);
-        if let Some(t) = tracer {
-            t.record(
-                TraceEvent::span(SpanKind::Phase, "map", 0, map_t0, t.now_us())
-                    .arg("records", input.len() as u64),
-            );
-        }
-        if let Some(tel) = telemetry {
-            tel.phase_end(name, "map", input.len() as u64);
-        }
-        let map_wall = map_start.elapsed();
+        let (runs, map_input_bytes, mut counters) = self.run_map_phase(obs, input, &mapper);
+        let map_end = obs.now();
+        obs.record(
+            TraceEvent::between_ns(SpanKind::Phase, spans::MAP, 0, start, map_end)
+                .arg("records", input.len() as u64),
+        );
 
         // ---- Shuffle: k-way merge of the runs into reducer buckets ---------
-        let shuffle_start = Instant::now();
-        let shuffle_t0 = tracer.map(Tracer::now_us).unwrap_or(0);
         let (buckets, shuffle, spill_stats, spill_write_nanos) = match self.cfg.reduce_memory_budget
         {
             // Unlimited budget: the in-memory fast path. No spill store
@@ -270,7 +289,7 @@ impl Engine {
                 (sources, stats, SpillStats::default(), 0u64)
             }
             Some(budget) => {
-                let mut store = SpillStore::new(budget, tracer, telemetry);
+                let mut store = SpillStore::new(budget, Arc::clone(&obs.clock), obs.tracer);
                 let (sources, stats) =
                     merge_sorted_runs_budgeted(runs, &mut store).map_err(|e| {
                         EngineError::Spill {
@@ -283,34 +302,17 @@ impl Engine {
                 (sources, stats, spill_stats, write_nanos)
             }
         };
-        if let Some(t) = tracer {
-            t.record(
-                TraceEvent::span(SpanKind::Phase, "shuffle", 0, shuffle_t0, t.now_us())
-                    .arg("pairs", shuffle.pairs)
-                    .arg("bytes", shuffle.bytes)
-                    .arg("reducers", buckets.len() as u64),
-            );
-        }
-        if let Some(tel) = telemetry {
-            // Bucket sizes in key order and one shuffle-volume sample —
-            // both data-plane (independent of threads and budget), merged
-            // under one lock.
-            let mut hists = HistogramRegistry::new();
-            for (_, source) in &buckets {
-                hists.record(names::REDUCE_BUCKET_PAIRS, source.len() as u64);
-            }
-            hists.record(names::SHUFFLE_JOB_BYTES, shuffle.bytes);
-            tel.merge_hists(&hists);
-            tel.gauges().add_reducers(buckets.len() as u64);
-            tel.phase_end(name, "shuffle", shuffle.pairs);
-        }
-        let shuffle_wall = shuffle_start.elapsed();
+        let shuffle_end = obs.now();
+        obs.record(
+            TraceEvent::between_ns(SpanKind::Phase, spans::SHUFFLE, 0, map_end, shuffle_end)
+                .arg("pairs", shuffle.pairs)
+                .arg("bytes", shuffle.bytes)
+                .arg("reducers", buckets.len() as u64),
+        );
 
         // ---- Reduce phase ---------------------------------------------------
-        let reduce_start = Instant::now();
-        let reduce_t0 = tracer.map(Tracer::now_us).unwrap_or(0);
         let (mut results, loads, reduce_counters, spill_read_nanos) =
-            self.run_reduce_phase(name, buckets, &reducer)?;
+            self.run_reduce_phase(obs, name, buckets, &reducer)?;
         counters.merge(&reduce_counters);
         if spill_stats.buckets > 0 {
             counters.inc(names::SPILL_BUCKETS, spill_stats.buckets);
@@ -327,24 +329,12 @@ impl Engine {
             output_bytes += o.iter().map(Record::approx_bytes).sum::<u64>();
             outputs.append(o);
         }
-        if let Some(t) = tracer {
-            t.record(
-                TraceEvent::span(SpanKind::Phase, "reduce", 0, reduce_t0, t.now_us())
-                    .arg("reducers", loads.len() as u64)
-                    .arg("outputs", output_records),
-            );
-            t.record(
-                TraceEvent::span(SpanKind::Job, name, 0, job_t0, t.now_us())
-                    .arg("records", input.len() as u64)
-                    .arg("pairs", shuffle.pairs)
-                    .arg("outputs", output_records),
-            );
-        }
-        if let Some(tel) = telemetry {
-            tel.phase_end(name, "reduce", output_records);
-            tel.job_end(name, output_records);
-        }
-        let reduce_wall = reduce_start.elapsed();
+        let reduce_end = obs.now();
+        obs.record(
+            TraceEvent::between_ns(SpanKind::Phase, spans::REDUCE, 0, shuffle_end, reduce_end)
+                .arg("reducers", loads.len() as u64)
+                .arg("outputs", output_records),
+        );
 
         let simulated = self
             .cfg
@@ -360,6 +350,13 @@ impl Engine {
                 self.cfg.reducer_slots,
             )
             .total();
+        let end = obs.now();
+        obs.record(
+            TraceEvent::between_ns(SpanKind::Job, name, 0, start, end)
+                .arg("records", input.len() as u64)
+                .arg("pairs", shuffle.pairs)
+                .arg("outputs", output_records),
+        );
 
         let metrics = JobMetrics {
             name: name.to_string(),
@@ -371,10 +368,10 @@ impl Engine {
             reducer_loads: loads,
             output_records,
             output_bytes,
-            wall: start.elapsed(),
-            map_wall,
-            shuffle_wall,
-            reduce_wall,
+            wall: wall(start, end),
+            map_wall: wall(start, map_end),
+            shuffle_wall: wall(map_end, shuffle_end),
+            reduce_wall: wall(shuffle_end, reduce_end),
             spill_wall: Duration::from_nanos(spill_write_nanos + spill_read_nanos),
             simulated,
             counters,
@@ -391,7 +388,7 @@ impl Engine {
     /// sequential execution.
     fn run_map_phase<I, M>(
         &self,
-        name: &str,
+        obs: &Observer<'_>,
         input: &[I],
         mapper: &impl Mapper<I, M>,
     ) -> (Vec<SortedRun<M>>, u64, Counters)
@@ -405,11 +402,7 @@ impl Engine {
         }
         let chunk = input.len().div_ceil(threads);
         let chunks: Vec<&[I]> = input.chunks(chunk).collect();
-        let tracer = self.tracer.as_deref();
-        let telemetry = self.telemetry.as_deref();
-        let hb_every = telemetry
-            .map(|t| t.config().heartbeat_every.max(1))
-            .unwrap_or(u64::MAX);
+        let traced = obs.tracer.is_some();
         let mut runs: Vec<SortedRun<M>> = Vec::with_capacity(chunks.len());
         let mut input_bytes = 0u64;
         let mut counters = Counters::new();
@@ -421,35 +414,25 @@ impl Engine {
                 .enumerate()
                 .map(|(ci, c)| {
                     scope.spawn(move |_| {
-                        let t0 = tracer.map(Tracer::now_us).unwrap_or(0);
+                        let t0 = traced.then(|| obs.now());
                         let mut em = Emitter::new();
                         let mut bytes = 0u64;
-                        let mut processed = 0u64;
-                        let mut since_heartbeat = 0u64;
                         for rec in *c {
                             bytes += rec.approx_bytes();
                             mapper.map(rec, &mut em);
-                            if let Some(tel) = telemetry {
-                                processed += 1;
-                                since_heartbeat += 1;
-                                if since_heartbeat == hb_every {
-                                    since_heartbeat = 0;
-                                    tel.gauges().add_map_records(hb_every);
-                                    tel.heartbeat(name, "map", ci as u64, processed);
-                                }
-                            }
-                        }
-                        if let Some(tel) = telemetry {
-                            // Sub-quantum remainder, so progress.map_records
-                            // sums to exactly the input record count.
-                            tel.gauges().add_map_records(since_heartbeat);
                         }
                         let emitted = em.emitted() as u64;
                         let (run, worker_counters) = em.finish();
-                        let event = tracer.map(|t| {
-                            TraceEvent::span(SpanKind::Task, "map-task", ci as u64, t0, t.now_us())
-                                .arg("records", c.len() as u64)
-                                .arg("pairs", emitted)
+                        let event = t0.map(|t0| {
+                            TraceEvent::between_ns(
+                                SpanKind::Task,
+                                spans::MAP_TASK,
+                                ci as u64,
+                                t0,
+                                obs.now(),
+                            )
+                            .arg("records", c.len() as u64)
+                            .arg("pairs", emitted)
                         });
                         (run, bytes, worker_counters, event)
                     })
@@ -475,17 +458,7 @@ impl Engine {
         if let Some(payload) = panic_payload {
             resume_unwind(payload);
         }
-        if let Some(t) = tracer {
-            t.record_batch(events);
-        }
-        if let Some(tel) = telemetry {
-            let mut hists = HistogramRegistry::new();
-            for c in &chunks {
-                hists.record(names::MAP_TASK_RECORDS, c.len() as u64);
-            }
-            tel.merge_hists(&hists);
-            tel.gauges().add_map_tasks(chunks.len() as u64);
-        }
+        obs.record_batch(events);
         (runs, input_bytes, counters)
     }
 
@@ -502,6 +475,7 @@ impl Engine {
     /// re-reads the runs from the spill store.
     fn run_reduce_phase<M, O>(
         &self,
+        obs: &Observer<'_>,
         job_name: &str,
         buckets: Vec<(ReducerId, BucketSource<M>)>,
         reducer: &impl Reducer<M, O>,
@@ -526,19 +500,13 @@ impl Engine {
             load: ReducerLoad,
             counters: Counters,
             event: Option<TraceEvent>,
-            service_ns: u64,
         }
 
         let threads = self.cfg.worker_threads.max(1);
         let next = AtomicUsize::new(0);
         let n = buckets.len();
         let faults = self.faults.clone();
-        let tracer = self.tracer.as_deref();
-        let telemetry = self.telemetry.clone();
-        let hb_every = telemetry
-            .as_ref()
-            .map_or(u64::MAX, |t| t.config().heartbeat_every.max(1));
-        let job_label: Arc<str> = Arc::from(job_name);
+        let traced = obs.tracer.is_some();
         let slots: Vec<BucketSlot<M>> = buckets
             .into_iter()
             .map(|(key, source)| BucketSlot {
@@ -562,14 +530,15 @@ impl Engine {
         let next = &next;
         let faults = &faults;
         let result_refs = &result_slots;
-        let telemetry_ref = &telemetry;
-        let job_label = &job_label;
 
         crossbeam::scope(|scope| {
             let handles: Vec<_> = (0..threads.min(n.max(1)))
                 .map(|w| {
                     scope.spawn(move |_| {
-                        let t0 = tracer.map(Tracer::now_us).unwrap_or(0);
+                        // One reading per boundary: each bucket's span ends
+                        // where the next one on this worker begins.
+                        let stint_start = traced.then(|| obs.now());
+                        let mut mark = stint_start;
                         let mut buckets_run = 0u64;
                         let mut spill_read_nanos = 0u64;
                         loop {
@@ -615,19 +584,9 @@ impl Engine {
                                     ));
                                 };
                                 let spilled = source.is_spilled();
-                                let r0 = tracer.map(Tracer::now_us).unwrap_or(0);
-                                let svc0 = telemetry_ref.as_ref().map_or(0, |t| t.now_nanos());
                                 let mut out = Vec::new();
                                 let mut ctx = ReduceCtx::new(slot.key);
                                 let mut values = source.into_stream();
-                                if let Some(tel) = telemetry_ref {
-                                    values.enable_heartbeats(
-                                        Arc::clone(tel),
-                                        Arc::clone(job_label),
-                                        slot.key,
-                                        hb_every,
-                                    );
-                                }
                                 reducer.reduce(&mut ctx, &mut values, &mut out);
                                 // Streaming can't surface a Result per value,
                                 // so a spilled-read failure ends the stream
@@ -640,27 +599,26 @@ impl Engine {
                                     });
                                 }
                                 spill_read_nanos += values.io_nanos();
-                                // Drop the stream before reading the clock so
-                                // its heartbeat remainder is flushed within
-                                // the bucket's service window.
-                                drop(values);
-                                let service_ns = telemetry_ref
-                                    .as_ref()
-                                    .map_or(0, |t| t.now_nanos().saturating_sub(svc0));
-                                let event = tracer.map(|t| {
-                                    TraceEvent::span(
+                                let r1 = mark.map(|_| obs.now());
+                                let event = mark.zip(r1).map(|(r0, r1)| {
+                                    TraceEvent::between_ns(
                                         SpanKind::Reduce,
-                                        "reduce",
+                                        spans::REDUCE,
                                         w as u64,
                                         r0,
-                                        t.now_us(),
+                                        r1,
                                     )
                                     .arg("key", slot.key)
                                     .arg("pairs", slot.pairs_received)
                                     .arg("work", ctx.work())
                                     .arg("out", out.len() as u64)
                                     .arg("spilled", spilled as u64)
+                                    .arg(
+                                        "active_peak",
+                                        ctx.counters().get(names::KERNEL_ACTIVE_PEAK),
+                                    )
                                 });
+                                mark = r1;
                                 let load = ReducerLoad {
                                     key: slot.key,
                                     pairs_received: slot.pairs_received,
@@ -680,23 +638,19 @@ impl Engine {
                                         load,
                                         counters,
                                         event,
-                                        service_ns,
                                     });
-                                }
-                                if let Some(tel) = telemetry_ref {
-                                    tel.gauges().note_reducer_done();
                                 }
                                 buckets_run += 1;
                                 break;
                             }
                         }
-                        let stint = tracer.map(|t| {
-                            TraceEvent::span(
+                        let stint = stint_start.zip(mark).map(|(t0, t1)| {
+                            TraceEvent::between_ns(
                                 SpanKind::Task,
-                                "reduce-worker",
+                                spans::REDUCE_WORKER,
                                 w as u64,
                                 t0,
-                                t.now_us(),
+                                t1,
                             )
                             .arg("buckets", buckets_run)
                         });
@@ -723,61 +677,30 @@ impl Engine {
         if let Some(payload) = panic_payload {
             resume_unwind(payload);
         }
+
+        // Finished buckets' spans in bucket (key) order, then worker stints
+        // in worker order — the deterministic merge of the trace buffers.
+        // Recorded before a worker error surfaces, so a failed job's trace
+        // keeps every reducer that finished.
+        let mut finished: Vec<ReduceResult<O>> = result_slots
+            .into_iter()
+            .filter_map(parking_lot::Mutex::into_inner)
+            .collect();
+        obs.record_batch(finished.iter_mut().filter_map(|r| r.event.take()).collect());
+        obs.record_batch(worker_events);
         if let Some(e) = worker_error {
             return Err(e);
         }
-
+        if finished.len() != n {
+            return Err(EngineError::Internal("reducer left no result"));
+        }
         let mut outs = Vec::with_capacity(n);
         let mut loads = Vec::with_capacity(n);
         let mut counters = Counters::new();
-        let mut reduce_events: Vec<TraceEvent> = Vec::new();
-        let mut service: Vec<(ReducerId, u64, u64)> = Vec::new();
-        let mut active_peaks: Vec<u64> = Vec::new();
-        for slot in result_slots {
-            let r = slot
-                .into_inner()
-                .ok_or(EngineError::Internal("reducer left no result"))?;
-            if telemetry.is_some() {
-                service.push((r.key, r.load.pairs_received, r.service_ns));
-                let peak = r.counters.get(names::KERNEL_ACTIVE_PEAK);
-                if peak > 0 {
-                    active_peaks.push(peak);
-                }
-            }
+        for r in finished {
             outs.push((r.key, r.out));
             loads.push(r.load);
             counters.merge(&r.counters);
-            reduce_events.extend(r.event);
-        }
-        if let Some(tel) = &telemetry {
-            // Service-time and active-peak samples in bucket (key) order —
-            // the same deterministic merge discipline as the trace batches
-            // below. `kernel.active_peak` sketches the event sweep's
-            // execution shape: the log2 histogram of per-bucket maximum
-            // active-array occupancy.
-            let mut hists = HistogramRegistry::new();
-            for &(_, _, ns) in &service {
-                hists.record(names::REDUCE_SERVICE_NS, ns);
-            }
-            for &peak in &active_peaks {
-                hists.record(names::KERNEL_ACTIVE_PEAK, peak);
-            }
-            tel.merge_hists(&hists);
-            let cfg = tel.config();
-            let stragglers =
-                detect_stragglers(&service, cfg.straggler_fraction, cfg.min_straggler_reducers);
-            if !stragglers.is_empty() {
-                // Execution-shape by classification: rates depend on wall
-                // time, so the counter only exists when telemetry is on.
-                counters.inc(names::TELEMETRY_STRAGGLERS, stragglers.len() as u64);
-            }
-            tel.note_stragglers(job_name, &stragglers);
-        }
-        if let Some(t) = tracer {
-            // Per-reducer spans in bucket (key) order, then worker stints in
-            // worker order — the deterministic merge of the trace buffers.
-            t.record_batch(reduce_events);
-            t.record_batch(worker_events);
         }
         Ok((outs, loads, counters, spill_read_nanos))
     }
@@ -900,8 +823,10 @@ fn merge_sorted_runs_budgeted<M: Record>(
             runs.push(store.spill_run(open.key, open.vals)?);
         }
         store.note_bucket();
-        let bucket = SpilledBucket::new(Arc::clone(store.dfs()), runs, open.total);
-        Ok((open.key, BucketSource::Spilled(bucket)))
+        Ok((
+            open.key,
+            BucketSource::Spilled(store.bucket(runs, open.total)),
+        ))
     }
 
     let budget = store.budget();
@@ -944,6 +869,7 @@ fn merge_sorted_runs_budgeted<M: Record>(
 mod tests {
     use super::*;
     use crate::job::ValueStream;
+    use crate::VirtualClock;
 
     fn engine() -> Engine {
         Engine::new(ClusterConfig {
@@ -1559,12 +1485,59 @@ mod tests {
         assert!(reduce.args.contains(&("spilled", 1)));
     }
 
+    /// The duration of the one span of `kind` named `name`.
+    fn span_dur_us(events: &[TraceEvent], kind: SpanKind, name: &str) -> u64 {
+        let mut matching = events.iter().filter(|e| e.kind == kind && e.name == name);
+        let ev = matching.next().expect("span recorded");
+        assert!(matching.next().is_none(), "one {name} span per job");
+        ev.dur_us
+    }
+
+    #[test]
+    fn walls_and_spans_share_one_clock() {
+        // A traced run: each phase wall is the phase span's duration, up
+        // to the span's truncation to whole microseconds.
+        let tracer = Arc::new(Tracer::new());
+        let out = spill_job(&budgeted_engine(Some(64), 2).with_tracer(tracer.clone()));
+        let m = &out.metrics;
+        let events = tracer.snapshot();
+        for (wall, kind, name) in [
+            (m.wall, SpanKind::Job, "spilly"),
+            (m.map_wall, SpanKind::Phase, spans::MAP),
+            (m.shuffle_wall, SpanKind::Phase, spans::SHUFFLE),
+            (m.reduce_wall, SpanKind::Phase, spans::REDUCE),
+        ] {
+            let dur_ns = span_dur_us(&events, kind, name) as i128 * 1000;
+            let gap = (wall.as_nanos() as i128 - dur_ns).abs();
+            assert!(gap < 1000, "{name}: wall {wall:?} vs span {dur_ns} ns");
+        }
+
+        // A virtual clock that never advances: every wall and every span
+        // reads zero, because nothing else in the engine reads time.
+        let frozen = Arc::new(Tracer::with_clock(Arc::new(VirtualClock::new())));
+        let out = spill_job(&budgeted_engine(Some(64), 2).with_tracer(frozen.clone()));
+        let m = &out.metrics;
+        assert!(m.counters.get(names::SPILL_RUNS) > 0, "the job spilled");
+        for w in [
+            m.wall,
+            m.map_wall,
+            m.shuffle_wall,
+            m.reduce_wall,
+            m.spill_wall,
+        ] {
+            assert_eq!(w, Duration::ZERO);
+        }
+        let events = frozen.snapshot();
+        assert!(events.iter().any(|e| e.kind == SpanKind::Spill));
+        assert!(events.iter().all(|e| e.start_us == 0 && e.dur_us == 0));
+    }
+
     #[test]
     fn budgeted_merge_splits_buckets_at_flush_points() {
         // One key, 8-byte values, budget 32: a run flushes after every 5th
         // value (40 > 32), so 12 values make 2 full runs + a 2-value tail.
         let run: SortedRun<u64> = (0..12u64).map(|v| (0, v)).collect();
-        let mut store = SpillStore::new(32, None, None);
+        let mut store = SpillStore::new(32, Arc::new(MonotonicClock::new()), None);
         let (buckets, stats) = merge_sorted_runs_budgeted(vec![run], &mut store).unwrap();
         assert_eq!(stats.pairs, 12);
         assert_eq!(buckets.len(), 1);

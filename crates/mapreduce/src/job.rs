@@ -11,8 +11,6 @@ use crate::dfs::DfsError;
 use crate::metrics::Counters;
 use crate::record::Record;
 use crate::spill::{RunCursor, SpilledBucket};
-use crate::telemetry::{HeartbeatHook, Telemetry};
-use std::sync::Arc;
 
 /// Identifies a logical reducer. Join algorithms encode either a 1-D
 /// partition index or the coordinates of a cell in an m-dimensional reducer
@@ -217,7 +215,6 @@ impl<M: Record> BucketSource<M> {
                 ValueStream {
                     remaining: total,
                     inner: StreamInner::Spilled(b.cursor()),
-                    hb: None,
                 }
             }
         }
@@ -245,7 +242,6 @@ enum StreamInner<M> {
 pub struct ValueStream<M> {
     inner: StreamInner<M>,
     remaining: usize,
-    hb: Option<HeartbeatHook>,
 }
 
 impl<M: Record> ValueStream<M> {
@@ -255,21 +251,7 @@ impl<M: Record> ValueStream<M> {
         ValueStream {
             remaining: values.len(),
             inner: StreamInner::Mem(values.into_iter()),
-            hb: None,
         }
-    }
-
-    /// Attaches reduce-side heartbeat bookkeeping: every `every`-th pull
-    /// emits a telemetry heartbeat for reducer `id`, and the exact pull
-    /// count is flushed into the progress gauges when the stream drops.
-    pub(crate) fn enable_heartbeats(
-        &mut self,
-        telemetry: Arc<Telemetry>,
-        job: Arc<str>,
-        id: ReducerId,
-        every: u64,
-    ) {
-        self.hb = Some(HeartbeatHook::new(telemetry, job, id, every));
     }
 
     /// Values not yet pulled.
@@ -301,7 +283,7 @@ impl<M: Record> ValueStream<M> {
         }
     }
 
-    /// Cumulative wall time this stream spent reading spilled runs.
+    /// Cumulative clock time this stream spent reading spilled runs.
     pub(crate) fn io_nanos(&self) -> u64 {
         match &self.inner {
             StreamInner::Mem(_) => 0,
@@ -322,12 +304,7 @@ impl<M: Record> Iterator for ValueStream<M> {
             // An early end (spilled-read error) zeroes the count so
             // `len`/`size_hint` stay consistent with what `next` returns.
             None => self.remaining = 0,
-            Some(_) => {
-                self.remaining -= 1;
-                if let Some(hb) = &mut self.hb {
-                    hb.tick();
-                }
-            }
+            Some(_) => self.remaining -= 1,
         }
         v
     }
@@ -338,17 +315,6 @@ impl<M: Record> Iterator for ValueStream<M> {
 }
 
 impl<M: Record> ExactSizeIterator for ValueStream<M> {}
-
-impl<M> Drop for ValueStream<M> {
-    fn drop(&mut self) {
-        // Flush the sub-quantum pull remainder so progress.reduce_values
-        // lands on the exact pull count even for partially consumed
-        // streams.
-        if let Some(hb) = &mut self.hb {
-            hb.flush();
-        }
-    }
-}
 
 /// Reduce side of a job: all values routed to one key in, output records out.
 ///

@@ -92,8 +92,5 @@ pub use job::{
 pub use metrics::{is_execution_shape, Counters, JobMetrics, ReducerLoad, SkewReport};
 pub use record::Record;
 pub use spill::{SpillStats, SpilledBucket};
-pub use telemetry::{
-    Clock, FlightRecorder, Histogram, HistogramRegistry, MonotonicClock, Straggler, Telemetry,
-    TelemetryConfig, TelemetryEvent, TelemetrySnapshot, VirtualClock,
-};
+pub use telemetry::{Clock, Histogram, MonotonicClock, TelemetrySnapshot, VirtualClock};
 pub use trace::{SpanKind, TraceEvent, Tracer};

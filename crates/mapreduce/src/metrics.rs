@@ -483,7 +483,6 @@ mod tests {
         assert!(is_execution_shape("spill.buckets"));
         assert!(is_execution_shape("spill.runs"));
         assert!(is_execution_shape("spill.bytes"));
-        assert!(is_execution_shape("telemetry.stragglers"));
         assert!(!is_execution_shape("kernel.candidates"));
         assert!(!is_execution_shape("replicas"));
     }

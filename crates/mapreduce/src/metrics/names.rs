@@ -1,17 +1,15 @@
-//! The single registry of every counter, histogram and telemetry-series
-//! name the production engine and algorithms record.
+//! The single registry of every counter, histogram and series name the
+//! production engine, the algorithms and the trace fold record.
 //!
-//! Two determinism classifiers used to live apart —
-//! `metrics::is_execution_shape` for counters and
-//! `telemetry::snapshot::is_execution_shape_series` for series — and
-//! could silently drift, corrupting the byte-diffs `repolint audit`
-//! builds on. Both now live *here*, driven by the same shared prefix
-//! constants, and `repolint check`'s counter-registry rule enforces that
-//! (a) every metric-name literal passed to a recording call is declared
-//! in this module and (b) a declared name never reappears as a string
-//! literal anywhere else in production code — call sites must use these
-//! constants, so renames and classification changes have exactly one
-//! home.
+//! The one determinism classifier, [`is_execution_shape`], lives *here*
+//! over one name/prefix/suffix list, and serves counters, series and
+//! histograms alike — the byte-diffs `repolint audit` builds on cannot
+//! drift between two copies. `repolint check`'s counter-registry rule
+//! enforces that (a) every metric-name literal passed to a recording
+//! call is declared in this module and (b) a declared name never
+//! reappears as a string literal anywhere else in production code — call
+//! sites must use these constants, so renames and classification changes
+//! have exactly one home.
 
 // ---------------------------------------------------------------------------
 // Counters (recorded via `Emitter::inc` / `ReduceCtx::inc` /
@@ -71,9 +69,6 @@ pub const SPILL_BUCKETS: &str = "spill.buckets";
 pub const SPILL_RUNS: &str = "spill.runs";
 /// Approximate bytes spilled (execution-shape).
 pub const SPILL_BYTES: &str = "spill.bytes";
-/// Reducers flagged below the straggler rate threshold (execution-shape:
-/// rates depend on wall time). Also a telemetry series.
-pub const TELEMETRY_STRAGGLERS: &str = "telemetry.stragglers";
 
 /// No longer emitted (reads 0): the intra-reduce scheduler that granted
 /// threads to buckets was removed. Kept because the end-to-end benchmark
@@ -85,41 +80,32 @@ pub const SCHED_GRANTS: &str = "sched.grants";
 pub const SCHED_HEAVY_BUCKETS: &str = "sched.heavy_buckets";
 
 // ---------------------------------------------------------------------------
-// Histograms (recorded via `HistogramRegistry::record` /
-// `Telemetry::record_hist`).
+// Histograms and series, folded from the trace by
+// `TelemetrySnapshot::from_events`.
 
-/// Per-bucket pair counts in key order (data-plane).
+/// Per-bucket pair counts, from the reduce spans (data-plane).
 pub const REDUCE_BUCKET_PAIRS: &str = "reduce.bucket_pairs";
-/// One shuffle-volume sample per job (data-plane).
+/// One shuffle-volume sample per job, from the shuffle spans (data-plane).
 pub const SHUFFLE_JOB_BYTES: &str = "shuffle.job_bytes";
-/// Per-map-task record counts (execution-shape: chunking).
+/// Per-map-task record counts, from the map-task spans (execution-shape:
+/// chunking).
 pub const MAP_TASK_RECORDS: &str = "map.task_records";
-/// Per-reducer service times (execution-shape: wall time).
-pub const REDUCE_SERVICE_NS: &str = "reduce.service_ns";
-/// Per-run spilled bytes (execution-shape: budget).
+/// Per-reducer service times in µs, from the reduce-span durations
+/// (execution-shape: wall time).
+pub const REDUCE_SERVICE_US: &str = "reduce.service_us";
+/// Per-run spilled bytes, from the spill spans (execution-shape: budget).
 pub const SPILL_RUN_BYTES: &str = "spill.run_bytes";
-
-// ---------------------------------------------------------------------------
-// Telemetry series (recorded via `Telemetry::inc_series` and the
-// progress gauges).
-
-/// Map-side heartbeats (execution-shape: one per map chunk quantum).
-pub const HEARTBEATS_MAP: &str = "telemetry.heartbeats.map";
-/// Reduce-side heartbeats (data-plane: pull quanta are byte-stable).
-pub const HEARTBEATS_REDUCE: &str = "telemetry.heartbeats.reduce";
-/// Jobs entered (gauge).
+/// Jobs the engine ran, failed ones included (gauge).
 pub const PROGRESS_JOBS_STARTED: &str = "progress.jobs_started";
-/// Jobs finished (gauge).
+/// Jobs that ran to completion (gauge).
 pub const PROGRESS_JOBS_FINISHED: &str = "progress.jobs_finished";
 /// Map records processed (gauge).
 pub const PROGRESS_MAP_RECORDS: &str = "progress.map_records";
 /// Map tasks completed (gauge; execution-shape: chunk count).
 pub const PROGRESS_MAP_TASKS: &str = "progress.map_tasks";
-/// Reduce values pulled (gauge).
-pub const PROGRESS_REDUCE_VALUES: &str = "progress.reduce_values";
-/// Reducers scheduled (gauge).
+/// Reducer buckets the shuffles formed (gauge).
 pub const PROGRESS_REDUCERS: &str = "progress.reducers";
-/// Reducers completed (gauge).
+/// Reducer buckets fully reduced (gauge).
 pub const PROGRESS_REDUCERS_DONE: &str = "progress.reducers_done";
 
 /// Every registered metric name. `repolint check` parses this module's
@@ -148,84 +134,51 @@ pub const ALL: &[&str] = &[
     SPILL_BUCKETS,
     SPILL_RUNS,
     SPILL_BYTES,
-    TELEMETRY_STRAGGLERS,
     SCHED_GRANTS,
     SCHED_HEAVY_BUCKETS,
     REDUCE_BUCKET_PAIRS,
     SHUFFLE_JOB_BYTES,
     MAP_TASK_RECORDS,
-    REDUCE_SERVICE_NS,
+    REDUCE_SERVICE_US,
     SPILL_RUN_BYTES,
-    HEARTBEATS_MAP,
-    HEARTBEATS_REDUCE,
     PROGRESS_JOBS_STARTED,
     PROGRESS_JOBS_FINISHED,
     PROGRESS_MAP_RECORDS,
     PROGRESS_MAP_TASKS,
-    PROGRESS_REDUCE_VALUES,
     PROGRESS_REDUCERS,
     PROGRESS_REDUCERS_DONE,
 ];
 
 // ---------------------------------------------------------------------------
-// Execution-shape classification — the ONE place both byte-diff filters
-// derive from.
+// Execution-shape classification — the ONE list every byte-diff filter
+// derives from.
 
-/// Name prefix of every spill-layout metric; shared by the counter and
-/// series classifiers (the satellite-1 "one prefix list drives both").
+/// Name prefix of every spill-layout metric.
 pub const SPILL_PREFIX: &str = "spill.";
-/// Name prefix of the live-telemetry counter family.
-pub const TELEMETRY_PREFIX: &str = "telemetry.";
-/// Name prefix of the progress gauges (rendered as Prometheus gauges).
-pub const PROGRESS_PREFIX: &str = "progress.";
-/// Name prefix of per-map-task series (chunking-dependent).
-pub const MAP_TASK_PREFIX: &str = "map.task";
-/// Name suffix of wall-time series (nanosecond histograms).
-pub const NS_SUFFIX: &str = "_ns";
+/// Name suffix of wall-time metrics (µs span durations).
+pub const US_SUFFIX: &str = "_us";
 
-/// Exact counter names that are execution-shape without sharing a shape
-/// prefix.
-pub const SHAPE_COUNTER_NAMES: &[&str] = &[KERNEL_ACTIVE_PEAK];
-/// Counter-name prefixes whose whole family is execution-shape.
-pub const SHAPE_COUNTER_PREFIXES: &[&str] = &[SPILL_PREFIX, TELEMETRY_PREFIX];
+/// Exact names that are execution-shape without sharing a shape prefix
+/// or suffix.
+pub const SHAPE_NAMES: &[&str] = &[KERNEL_ACTIVE_PEAK, MAP_TASK_RECORDS, PROGRESS_MAP_TASKS];
+/// Name prefixes whose whole family is execution-shape.
+pub const SHAPE_PREFIXES: &[&str] = &[SPILL_PREFIX];
+/// Name suffixes whose whole family is execution-shape.
+pub const SHAPE_SUFFIXES: &[&str] = &[US_SUFFIX];
 
-/// Exact series names that are execution-shape without sharing a shape
-/// prefix or suffix. Note `telemetry.heartbeats.reduce` is *absent*:
-/// reduce heartbeats derive from pull quanta and stay byte-identical,
-/// while map heartbeats follow the chunk count.
-pub const SHAPE_SERIES_NAMES: &[&str] = &[
-    TELEMETRY_STRAGGLERS,
-    HEARTBEATS_MAP,
-    PROGRESS_MAP_TASKS,
-    KERNEL_ACTIVE_PEAK,
-];
-/// Series-name prefixes whose whole family is execution-shape.
-pub const SHAPE_SERIES_PREFIXES: &[&str] = &[SPILL_PREFIX, MAP_TASK_PREFIX];
-/// Series-name suffixes whose whole family is execution-shape.
-pub const SHAPE_SERIES_SUFFIXES: &[&str] = &[NS_SUFFIX];
-
-/// Whether a counter name describes *execution shape* — how a run was
-/// physically carried out (spill decisions, kernel occupancy) rather
-/// than the data plane. Execution-shape counters may be
-/// configuration-dependent: the `spill.*` family varies with
-/// `ClusterConfig::reduce_memory_budget`. Determinism byte-diffs
+/// Whether a counter, series or histogram name describes *execution
+/// shape* — how a run was physically carried out (spill decisions,
+/// kernel occupancy, map chunking, wall time) rather than what it
+/// computed. Execution-shape names may be configuration-dependent: the
+/// `spill.*` family varies with `ClusterConfig::reduce_memory_budget`,
+/// the map-task names with `worker_threads`. Determinism byte-diffs
 /// (`repolint audit`, the equivalence proptests) exclude exactly these
-/// names; every data-plane counter must stay byte-identical across
-/// thread counts *and* budgets.
+/// names; every data-plane name must stay byte-identical across thread
+/// counts *and* budgets.
 pub fn is_execution_shape(name: &str) -> bool {
-    SHAPE_COUNTER_NAMES.contains(&name)
-        || SHAPE_COUNTER_PREFIXES.iter().any(|p| name.starts_with(p))
-}
-
-/// True for telemetry series whose value legitimately depends on *how*
-/// the job executed (thread count, chunking, memory budget, wall clock)
-/// rather than on *what* it computed. These are excluded from the
-/// cross-thread-count determinism contract, mirroring
-/// [`is_execution_shape`] for counters.
-pub fn is_execution_shape_series(name: &str) -> bool {
-    SHAPE_SERIES_NAMES.contains(&name)
-        || SHAPE_SERIES_PREFIXES.iter().any(|p| name.starts_with(p))
-        || SHAPE_SERIES_SUFFIXES.iter().any(|s| name.ends_with(s))
+    SHAPE_NAMES.contains(&name)
+        || SHAPE_PREFIXES.iter().any(|p| name.starts_with(p))
+        || SHAPE_SUFFIXES.iter().any(|s| name.ends_with(s))
 }
 
 #[cfg(test)]
@@ -243,27 +196,31 @@ mod tests {
 
     #[test]
     fn shape_entries_are_registered() {
-        for name in SHAPE_COUNTER_NAMES.iter().chain(SHAPE_SERIES_NAMES) {
+        for name in SHAPE_NAMES {
             assert!(ALL.contains(name), "{name} classified but unregistered");
         }
     }
 
     #[test]
-    fn both_classifiers_share_the_spill_prefix() {
-        assert!(SHAPE_COUNTER_PREFIXES.contains(&SPILL_PREFIX));
-        assert!(SHAPE_SERIES_PREFIXES.contains(&SPILL_PREFIX));
-        assert!(is_execution_shape(SPILL_RUNS));
-        assert!(is_execution_shape_series(SPILL_RUN_BYTES));
-    }
-
-    #[test]
-    fn classifier_split_is_intentional() {
-        // Shape as counter (telemetry.* prefix) but data-plane as series:
-        // reduce heartbeats count pull quanta, which are byte-stable.
-        assert!(is_execution_shape(HEARTBEATS_REDUCE));
-        assert!(!is_execution_shape_series(HEARTBEATS_REDUCE));
-        // Shape as series (chunk count) without being a counter at all.
-        assert!(is_execution_shape_series(PROGRESS_MAP_TASKS));
-        assert!(!is_execution_shape(PROGRESS_MAP_TASKS));
+    fn one_classifier_covers_counters_series_and_histograms() {
+        for name in [
+            SPILL_RUNS,
+            SPILL_RUN_BYTES,
+            KERNEL_ACTIVE_PEAK,
+            MAP_TASK_RECORDS,
+            PROGRESS_MAP_TASKS,
+            REDUCE_SERVICE_US,
+        ] {
+            assert!(is_execution_shape(name), "{name}");
+        }
+        for name in [
+            JOIN_EMITTED,
+            REDUCE_BUCKET_PAIRS,
+            SHUFFLE_JOB_BYTES,
+            PROGRESS_JOBS_STARTED,
+            PROGRESS_REDUCERS_DONE,
+        ] {
+            assert!(!is_execution_shape(name), "{name}");
+        }
     }
 }

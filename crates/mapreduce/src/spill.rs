@@ -23,22 +23,19 @@
 //! `spill.runs` / `spill.bytes`) depend only on the budget, and the value
 //! sequence a reducer observes is byte-identical to in-memory execution for
 //! every budget and thread count.
-
-#![expect(
-    clippy::disallowed_methods,
-    reason = "Instant feeds only the spill I/O wall accounting surfaced as \
-              JobMetrics::spill_wall and the optional trace spans; durations are \
-              never keyed, emitted, or able to reach job output"
-)]
+//!
+//! Spill I/O time is read from the engine's [`Clock`] — the attached
+//! tracer's — so each run write gives both its share of
+//! `JobMetrics::spill_wall` and its `spill-run` span from one pair of
+//! readings.
 
 use crate::dfs::{Dfs, DfsError};
 use crate::job::ReducerId;
 use crate::record::Record;
-use crate::telemetry::Telemetry;
-use crate::trace::{SpanKind, TraceEvent, Tracer};
+use crate::telemetry::Clock;
+use crate::trace::{spans, SpanKind, TraceEvent, Tracer};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Records per chunk the spilled-bucket cursor pulls through
 /// [`Dfs::read_range`] — a reducer holds one chunk of one run resident at
@@ -73,25 +70,22 @@ pub(crate) struct SpillStore<'t> {
     seq: u64,
     stats: SpillStats,
     write_nanos: u64,
+    clock: Arc<dyn Clock>,
     tracer: Option<&'t Tracer>,
-    telemetry: Option<&'t Telemetry>,
 }
 
 impl<'t> SpillStore<'t> {
-    /// A store enforcing `budget` approx-bytes per bucket buffer.
-    pub(crate) fn new(
-        budget: u64,
-        tracer: Option<&'t Tracer>,
-        telemetry: Option<&'t Telemetry>,
-    ) -> Self {
+    /// A store enforcing `budget` approx-bytes per bucket buffer, timing
+    /// its I/O on `clock` and recording spill spans into `tracer`.
+    pub(crate) fn new(budget: u64, clock: Arc<dyn Clock>, tracer: Option<&'t Tracer>) -> Self {
         SpillStore {
             dfs: Arc::new(Dfs::new()),
             budget,
             seq: 0,
             stats: SpillStats::default(),
             write_nanos: 0,
+            clock,
             tracer,
-            telemetry,
         }
     }
 
@@ -100,9 +94,16 @@ impl<'t> SpillStore<'t> {
         self.budget
     }
 
-    /// The store's backing DFS (shared with the cursors reading it back).
-    pub(crate) fn dfs(&self) -> &Arc<Dfs> {
-        &self.dfs
+    /// A bucket backed by `runs` (in bucket order) holding `total`
+    /// records, read back through this store's DFS and clock.
+    pub(crate) fn bucket<M: Record>(&self, runs: Vec<SpillRun>, total: usize) -> SpilledBucket<M> {
+        SpilledBucket {
+            dfs: Arc::clone(&self.dfs),
+            clock: Arc::clone(&self.clock),
+            runs,
+            total,
+            _values: PhantomData,
+        }
     }
 
     /// Writes `values` as the next run for bucket `key`, returning its
@@ -113,8 +114,7 @@ impl<'t> SpillStore<'t> {
         key: ReducerId,
         values: Vec<M>,
     ) -> Result<SpillRun, DfsError> {
-        let t0 = Instant::now();
-        let span_t0 = self.tracer.map(Tracer::now_us).unwrap_or(0);
+        let t0 = self.clock.now_nanos();
         let len = values.len();
         let bytes: u64 = values.iter().map(Record::approx_bytes).sum();
         let path = format!("spill/{key}/{seq}", seq = self.seq);
@@ -122,13 +122,11 @@ impl<'t> SpillStore<'t> {
         self.dfs.write(&path, values)?;
         self.stats.runs += 1;
         self.stats.bytes += bytes;
-        self.write_nanos += t0.elapsed().as_nanos() as u64;
-        if let Some(tel) = self.telemetry {
-            tel.spill_run(key, bytes);
-        }
+        let t1 = self.clock.now_nanos();
+        self.write_nanos += t1.saturating_sub(t0);
         if let Some(t) = self.tracer {
             t.record(
-                TraceEvent::span(SpanKind::Spill, "spill-run", key, span_t0, t.now_us())
+                TraceEvent::between_ns(SpanKind::Spill, spans::SPILL_RUN, key, t0, t1)
                     .arg("key", key)
                     .arg("records", len as u64)
                     .arg("bytes", bytes),
@@ -156,6 +154,7 @@ impl<'t> SpillStore<'t> {
 #[derive(Debug)]
 pub struct SpilledBucket<M> {
     dfs: Arc<Dfs>,
+    clock: Arc<dyn Clock>,
     runs: Vec<SpillRun>,
     total: usize,
     _values: PhantomData<fn() -> M>,
@@ -165,6 +164,7 @@ impl<M> Clone for SpilledBucket<M> {
     fn clone(&self) -> Self {
         SpilledBucket {
             dfs: Arc::clone(&self.dfs),
+            clock: Arc::clone(&self.clock),
             runs: self.runs.clone(),
             total: self.total,
             _values: PhantomData,
@@ -173,16 +173,6 @@ impl<M> Clone for SpilledBucket<M> {
 }
 
 impl<M: Record> SpilledBucket<M> {
-    /// A bucket backed by `runs` (in bucket order) holding `total` records.
-    pub(crate) fn new(dfs: Arc<Dfs>, runs: Vec<SpillRun>, total: usize) -> Self {
-        SpilledBucket {
-            dfs,
-            runs,
-            total,
-            _values: PhantomData,
-        }
-    }
-
     /// Total records across all runs.
     pub fn len(&self) -> usize {
         self.total
@@ -202,6 +192,7 @@ impl<M: Record> SpilledBucket<M> {
     pub(crate) fn cursor(self) -> RunCursor<M> {
         RunCursor {
             dfs: self.dfs,
+            clock: self.clock,
             runs: self.runs,
             run_idx: 0,
             offset: 0,
@@ -220,6 +211,7 @@ impl<M: Record> SpilledBucket<M> {
 #[derive(Debug)]
 pub(crate) struct RunCursor<M> {
     dfs: Arc<Dfs>,
+    clock: Arc<dyn Clock>,
     runs: Vec<SpillRun>,
     run_idx: usize,
     offset: usize,
@@ -248,11 +240,11 @@ impl<M: Record> RunCursor<M> {
                 self.offset = 0;
                 continue;
             }
-            let t0 = Instant::now();
+            let t0 = self.clock.now_nanos();
             let read = self
                 .dfs
                 .read_range::<M>(&run.path, self.offset, SPILL_READ_CHUNK);
-            self.io_nanos += t0.elapsed().as_nanos() as u64;
+            self.io_nanos += self.clock.now_nanos().saturating_sub(t0);
             match read {
                 Ok(chunk) if chunk.is_empty() => {
                     // A run shorter than its recorded length would be an
@@ -272,7 +264,7 @@ impl<M: Record> RunCursor<M> {
         }
     }
 
-    /// Cumulative wall time spent inside `read_range`.
+    /// Cumulative clock time spent inside `read_range`.
     pub(crate) fn io_nanos(&self) -> u64 {
         self.io_nanos
     }
@@ -288,7 +280,7 @@ mod tests {
     use super::*;
 
     fn store() -> SpillStore<'static> {
-        SpillStore::new(64, None, None)
+        SpillStore::new(64, Arc::new(crate::MonotonicClock::new()), None)
     }
 
     #[test]
@@ -296,7 +288,7 @@ mod tests {
         let mut st = store();
         let r1 = st.spill_run(3, vec![1u64, 2, 3]).unwrap();
         let r2 = st.spill_run(3, vec![4u64, 5]).unwrap();
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r1, r2], 5);
+        let bucket: SpilledBucket<u64> = st.bucket(vec![r1, r2], 5);
         assert_eq!(bucket.len(), 5);
         assert_eq!(bucket.run_count(), 2);
         let mut cur = bucket.cursor();
@@ -325,7 +317,7 @@ mod tests {
         let mut st = store();
         st.spill_run(1, vec![1u64]).unwrap();
         st.spill_run(1, vec![2u64]).unwrap();
-        assert_eq!(st.dfs().list().len(), 2);
+        assert_eq!(st.dfs.list().len(), 2);
     }
 
     #[test]
@@ -336,7 +328,7 @@ mod tests {
         let r1 = st.spill_run(0, big.clone()).unwrap();
         let r2 = st.spill_run(0, vec![999u64]).unwrap();
         let total = big.len() + 1;
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r1, r2], total);
+        let bucket: SpilledBucket<u64> = st.bucket(vec![r1, r2], total);
         let mut cur = bucket.cursor();
         let mut got = Vec::with_capacity(total);
         while let Some(v) = cur.next_value() {
@@ -346,14 +338,13 @@ mod tests {
         assert_eq!(got[..big.len()], big[..]);
         assert_eq!(got[big.len()], 999);
         // More than one range read must have happened.
-        assert!(st.dfs().stats().range_reads >= 3);
+        assert!(st.dfs.stats().range_reads >= 3);
     }
 
     #[test]
     fn missing_run_latches_error_instead_of_panicking() {
         let st = store();
-        let bucket = SpilledBucket::<u64>::new(
-            Arc::clone(st.dfs()),
+        let bucket: SpilledBucket<u64> = st.bucket(
             vec![SpillRun {
                 path: "spill/0/404".to_string(),
                 len: 3,
@@ -371,7 +362,7 @@ mod tests {
     fn cloned_bucket_rereads_independently() {
         let mut st = store();
         let r = st.spill_run(0, vec![7u64, 8]).unwrap();
-        let bucket = SpilledBucket::<u64>::new(Arc::clone(st.dfs()), vec![r], 2);
+        let bucket: SpilledBucket<u64> = st.bucket(vec![r], 2);
         let twin = bucket.clone();
         let drain = |b: SpilledBucket<u64>| {
             let mut cur = b.cursor();

@@ -1,22 +1,19 @@
-//! Injectable time sources for the telemetry plane.
+//! Injectable time sources for the engine.
 //!
-//! Telemetry timestamps (heartbeat times, per-reducer service durations)
-//! are the one place the live-metrics plane legitimately touches a clock.
-//! Instead of sprinkling wall-clock reads — and lint exemptions — through
-//! the subsystem, every read goes through the [`Clock`] trait: production
-//! attaches a [`MonotonicClock`], tests and the determinism audit attach a
-//! [`VirtualClock`] whose time only moves when explicitly advanced.
-//! [`MonotonicClock::new`] is the *only* telemetry site exempt from the
-//! workspace's `clippy::disallowed_methods` ban on `Instant::now`; the
-//! rest of `telemetry/` must stay clock-free.
+//! Every phase wall in [`crate::JobMetrics`] and every span timestamp is
+//! read through the [`Clock`] trait, from the attached
+//! [`crate::Tracer`]'s clock: production uses a [`MonotonicClock`], tests
+//! and the determinism audit a [`VirtualClock`] whose time only moves
+//! when explicitly advanced. [`MonotonicClock::new`] is the *only* site
+//! in this crate exempt from the workspace's `clippy::disallowed_methods`
+//! ban on `Instant::now`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A monotonic nanosecond source. Implementations must be cheap and
-/// thread-safe — workers read the clock on reduce-service boundaries and
-/// heartbeats.
+/// thread-safe — workers read the clock at task and reducer boundaries.
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Nanoseconds elapsed since the clock's epoch.
     fn now_nanos(&self) -> u64;
@@ -32,7 +29,7 @@ impl MonotonicClock {
     /// A clock whose epoch (time zero) is the moment of creation.
     #[expect(
         clippy::disallowed_methods,
-        reason = "the production telemetry clock; every other telemetry read goes through Clock"
+        reason = "the engine's production clock; every other time read goes through Clock"
     )]
     pub fn new() -> Self {
         MonotonicClock {
@@ -55,7 +52,7 @@ impl Clock for MonotonicClock {
 
 /// A deterministic test clock: time stands still until [`VirtualClock::advance`]
 /// (or [`VirtualClock::set`]) moves it. The determinism audit attaches one
-/// so telemetry snapshots carry no wall-clock entropy.
+/// so traces and their folded snapshots carry no wall-clock entropy.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     nanos: AtomicU64,

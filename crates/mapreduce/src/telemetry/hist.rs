@@ -1,14 +1,12 @@
-//! Deterministically mergeable histograms with fixed log2 bucket bounds.
+//! Histograms with fixed log2 bucket bounds.
 //!
 //! Bucket `i` covers values whose bit length is `i`: bucket 0 holds only
 //! the value 0, bucket 1 holds 1, bucket 2 holds 2..=3, bucket `i` holds
 //! `2^(i-1) ..= 2^i - 1`. The bounds are *fixed* (never rescaled from
-//! observed data), so merging two histograms is an element-wise sum —
-//! associative and commutative, which is what makes worker-merged
-//! histograms byte-identical across `worker_threads` counts, exactly like
-//! [`crate::Counters`].
-
-use std::collections::BTreeMap;
+//! observed data), so a histogram depends only on the multiset of its
+//! samples, never on the order they were recorded in — which is what
+//! keeps a histogram folded from a trace byte-identical across
+//! `worker_threads` counts, exactly like [`crate::Counters`].
 
 /// Bucket count: one per possible `u64` bit length (0..=64).
 pub const HIST_BUCKETS: usize = 65;
@@ -70,18 +68,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Merges another histogram in (element-wise bucket sum; commutative,
-    /// so the result is independent of merge order).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -115,70 +101,6 @@ impl Histogram {
     /// Index of the highest non-empty bucket, or `None` when empty.
     pub fn highest_bucket(&self) -> Option<usize> {
         self.counts.iter().rposition(|&c| c > 0)
-    }
-}
-
-/// A name-keyed set of [`Histogram`]s, merged across workers the same way
-/// [`crate::Counters`] merges: per-name, order-independent. Iteration is
-/// sorted by name (`BTreeMap`), so rendered output is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramRegistry {
-    hists: BTreeMap<String, Histogram>,
-}
-
-impl HistogramRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        HistogramRegistry::default()
-    }
-
-    /// Records one sample into the histogram `name` (creating it empty
-    /// first). The name is only allocated on first use.
-    pub fn record(&mut self, name: &str, value: u64) {
-        if let Some(h) = self.hists.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = Histogram::new();
-            h.record(value);
-            self.hists.insert(name.to_string(), h);
-        }
-    }
-
-    /// Merges another registry in (per-name histogram merge).
-    pub fn merge(&mut self, other: &HistogramRegistry) {
-        for (name, h) in &other.hists {
-            if let Some(mine) = self.hists.get_mut(name) {
-                mine.merge(h);
-            } else {
-                self.hists.insert(name.clone(), h.clone());
-            }
-        }
-    }
-
-    /// The named histogram, if any sample was recorded under it.
-    pub fn get(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Iterates `(name, histogram)` in sorted name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of named histograms.
-    pub fn len(&self) -> usize {
-        self.hists.len()
-    }
-
-    /// True when no histogram exists.
-    pub fn is_empty(&self) -> bool {
-        self.hists.is_empty()
-    }
-
-    /// A sorted-name map clone of the registry contents (what snapshots
-    /// carry).
-    pub fn to_map(&self) -> BTreeMap<String, Histogram> {
-        self.hists.clone()
     }
 }
 
@@ -225,42 +147,5 @@ mod tests {
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(100));
         assert_eq!(h.highest_bucket(), Some(bucket_index(100)));
-    }
-
-    #[test]
-    fn merge_equals_recording_the_union() {
-        let xs = [1u64, 7, 7, 300, 0];
-        let ys = [2u64, 9000, 1];
-        let mut a = Histogram::new();
-        xs.iter().for_each(|&v| a.record(v));
-        let mut b = Histogram::new();
-        ys.iter().for_each(|&v| b.record(v));
-        let mut union = Histogram::new();
-        xs.iter().chain(ys.iter()).for_each(|&v| union.record(v));
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, union, "merge must equal recording the union");
-        assert_eq!(ab, ba, "merge is commutative");
-    }
-
-    #[test]
-    fn registry_merges_per_name_and_iterates_sorted() {
-        let mut a = HistogramRegistry::new();
-        a.record("b.size", 10);
-        a.record("a.size", 1);
-        let mut b = HistogramRegistry::new();
-        b.record("b.size", 20);
-        b.record("c.size", 5);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        let names: Vec<&str> = a.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["a.size", "b.size", "c.size"]);
-        let bs = a.get("b.size").unwrap();
-        assert_eq!(bs.count(), 2);
-        assert_eq!(bs.sum(), 30);
-        assert!(a.get("missing").is_none());
     }
 }

@@ -1,33 +1,51 @@
-//! Point-in-time telemetry snapshots and Prometheus text exposition.
+//! The Prometheus fold: series and histograms built from a trace.
 //!
 //! A [`TelemetrySnapshot`] is a plain, sorted value type: scalar series
-//! (gauges and counters) plus named histograms. Rendering is fully
-//! deterministic — `BTreeMap` iteration order plus fixed histogram bucket
-//! bounds — so two equal snapshots always produce byte-identical
-//! Prometheus text. The determinism *audit* compares the
-//! [`TelemetrySnapshot::data_plane`] projection, which strips
-//! execution-shape series (anything timing-, chunking- or spill-layout-
-//! dependent) the same way [`crate::is_execution_shape`] strips counters.
+//! (gauges) plus named histograms, built by
+//! [`TelemetrySnapshot::from_events`] as a pure fold over a
+//! [`crate::Tracer`]'s events. Rendering is fully deterministic —
+//! `BTreeMap` iteration order plus fixed histogram bucket bounds — so two
+//! equal snapshots always produce byte-identical Prometheus text. The
+//! determinism *audit* compares the [`TelemetrySnapshot::data_plane`]
+//! projection, which strips execution-shape names (anything timing-,
+//! chunking- or spill-layout-dependent) with the same
+//! [`crate::is_execution_shape`] that strips counters.
 
 use super::hist::{bucket_upper_bound, Histogram};
-use crate::metrics::names;
+use crate::metrics::names::{self, is_execution_shape};
+use crate::trace::{spans, SpanKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-// The series classifier lives in the `metrics::names` registry next to
-// its counter sibling, so the two execution-shape sets cannot drift —
-// re-exported here at its historical path.
-pub use crate::metrics::names::is_execution_shape_series;
-
-/// A point-in-time copy of everything the telemetry plane has recorded.
+/// Series and histograms folded from a trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// Scalar series (progress gauges, heartbeat/straggler counters),
-    /// keyed by dotted series name.
+    /// Scalar series (the `progress.*` gauges), keyed by dotted series
+    /// name.
     pub series: BTreeMap<String, u64>,
-    /// Named log2 histograms (service times, bucket sizes, run bytes).
+    /// Named log2 histograms (bucket sizes, service times, run bytes).
     pub histograms: BTreeMap<String, Histogram>,
 }
+
+/// Every series the fold emits, present at zero on an empty trace.
+const SERIES: [&str; 6] = [
+    names::PROGRESS_JOBS_STARTED,
+    names::PROGRESS_JOBS_FINISHED,
+    names::PROGRESS_MAP_RECORDS,
+    names::PROGRESS_MAP_TASKS,
+    names::PROGRESS_REDUCERS,
+    names::PROGRESS_REDUCERS_DONE,
+];
+
+/// Every histogram the fold emits, present (empty) on an empty trace.
+const HISTOGRAMS: [&str; 6] = [
+    names::REDUCE_BUCKET_PAIRS,
+    names::SHUFFLE_JOB_BYTES,
+    names::MAP_TASK_RECORDS,
+    names::REDUCE_SERVICE_US,
+    names::KERNEL_ACTIVE_PEAK,
+    names::SPILL_RUN_BYTES,
+];
 
 /// Maps a dotted series name onto a Prometheus metric name:
 /// `ij_` prefix, non-alphanumeric bytes become `_`.
@@ -45,8 +63,81 @@ fn prometheus_name(name: &str) -> String {
 }
 
 impl TelemetrySnapshot {
-    /// The snapshot restricted to data-plane series: everything
-    /// execution-shape (see [`is_execution_shape_series`]) removed. Two
+    /// Folds a trace's events into series and histograms. Every input is
+    /// a span count, a span arg or a span duration:
+    ///
+    /// * job spans count `progress.jobs_started`, and those without a
+    ///   `failed` arg `progress.jobs_finished`;
+    /// * the map phase's `records` sum to `progress.map_records`; each
+    ///   map-task span counts one `progress.map_tasks` and samples its
+    ///   `records` into `map.task_records`;
+    /// * the shuffle phase's `reducers` sum to `progress.reducers`, and
+    ///   its `bytes` sample `shuffle.job_bytes`;
+    /// * each reduce span counts one `progress.reducers_done` and samples
+    ///   its `pairs` into `reduce.bucket_pairs`, its duration into
+    ///   `reduce.service_us` and a non-zero `active_peak` into
+    ///   `kernel.active_peak`;
+    /// * each spill span samples its `bytes` into `spill.run_bytes`.
+    pub fn from_events(events: &[TraceEvent]) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot {
+            series: SERIES.iter().map(|n| (n.to_string(), 0)).collect(),
+            histograms: HISTOGRAMS
+                .iter()
+                .map(|n| (n.to_string(), Histogram::new()))
+                .collect(),
+        };
+        let arg = |ev: &TraceEvent, key: &str| ev.get(key).unwrap_or(0);
+        for ev in events {
+            match (ev.kind, ev.name.as_str()) {
+                (SpanKind::Job, _) => {
+                    snap.add(names::PROGRESS_JOBS_STARTED, 1);
+                    if ev.get("failed").is_none() {
+                        snap.add(names::PROGRESS_JOBS_FINISHED, 1);
+                    }
+                }
+                (SpanKind::Phase, spans::MAP) => {
+                    snap.add(names::PROGRESS_MAP_RECORDS, arg(ev, "records"));
+                }
+                (SpanKind::Phase, spans::SHUFFLE) => {
+                    snap.add(names::PROGRESS_REDUCERS, arg(ev, "reducers"));
+                    snap.sample(names::SHUFFLE_JOB_BYTES, arg(ev, "bytes"));
+                }
+                (SpanKind::Task, spans::MAP_TASK) => {
+                    snap.add(names::PROGRESS_MAP_TASKS, 1);
+                    snap.sample(names::MAP_TASK_RECORDS, arg(ev, "records"));
+                }
+                (SpanKind::Reduce, _) => {
+                    snap.add(names::PROGRESS_REDUCERS_DONE, 1);
+                    snap.sample(names::REDUCE_BUCKET_PAIRS, arg(ev, "pairs"));
+                    snap.sample(names::REDUCE_SERVICE_US, ev.dur_us);
+                    let peak = arg(ev, "active_peak");
+                    if peak > 0 {
+                        snap.sample(names::KERNEL_ACTIVE_PEAK, peak);
+                    }
+                }
+                (SpanKind::Spill, _) => snap.sample(names::SPILL_RUN_BYTES, arg(ev, "bytes")),
+                _ => {}
+            }
+        }
+        snap
+    }
+
+    /// Adds `delta` to a series the fold seeded.
+    fn add(&mut self, name: &str, delta: u64) {
+        if let Some(v) = self.series.get_mut(name) {
+            *v += delta;
+        }
+    }
+
+    /// Records one sample into a histogram the fold seeded.
+    fn sample(&mut self, name: &str, value: u64) {
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.record(value);
+        }
+    }
+
+    /// The snapshot restricted to data-plane names: everything
+    /// execution-shape (see [`is_execution_shape`]) removed. Two
     /// runs of the same job must produce byte-identical
     /// [`TelemetrySnapshot::to_prometheus`] output for this projection
     /// regardless of `worker_threads` or memory budget.
@@ -55,33 +146,28 @@ impl TelemetrySnapshot {
             series: self
                 .series
                 .iter()
-                .filter(|(k, _)| !is_execution_shape_series(k))
+                .filter(|(k, _)| !is_execution_shape(k))
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
             histograms: self
                 .histograms
                 .iter()
-                .filter(|(k, _)| !is_execution_shape_series(k))
+                .filter(|(k, _)| !is_execution_shape(k))
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         }
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
-    /// a `# TYPE` line per metric, `progress.*` series as gauges, other
-    /// series as counters, histograms with cumulative `_bucket{le=...}`
+    /// a `# TYPE` line per metric, series as gauges, histograms with
+    /// cumulative `_bucket{le=...}`
     /// samples plus `_sum` and `_count`. Output is byte-deterministic for
     /// equal snapshots (sorted iteration, fixed bucket bounds).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(64 * (self.series.len() + self.histograms.len()));
         for (name, value) in &self.series {
             let pname = prometheus_name(name);
-            let kind = if name.starts_with(names::PROGRESS_PREFIX) {
-                "gauge"
-            } else {
-                "counter"
-            };
-            let _ = writeln!(out, "# TYPE {pname} {kind}");
+            let _ = writeln!(out, "# TYPE {pname} gauge");
             let _ = writeln!(out, "{pname} {value}");
         }
         for (name, hist) in &self.histograms {
@@ -112,15 +198,13 @@ mod tests {
     fn snap() -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::default();
         s.series.insert("progress.jobs_started".into(), 2);
-        s.series.insert("telemetry.heartbeats.reduce".into(), 5);
-        s.series.insert("telemetry.stragglers".into(), 1);
-        s.series.insert("telemetry.heartbeats.map".into(), 3);
+        s.series.insert("progress.map_tasks".into(), 3);
         let mut h = Histogram::new();
         for v in [1u64, 2, 2, 900] {
             h.record(v);
         }
         s.histograms.insert("reduce.bucket_pairs".into(), h);
-        s.histograms.insert("reduce.service_ns".into(), {
+        s.histograms.insert("reduce.service_us".into(), {
             let mut h = Histogram::new();
             h.record(42);
             h
@@ -128,39 +212,84 @@ mod tests {
         s
     }
 
+    /// A two-job trace: one finished job with two map tasks, two reducers
+    /// and a spill run; one failed job that reduced nothing.
+    fn trace() -> Vec<TraceEvent> {
+        let ev = TraceEvent::span;
+        vec![
+            ev(SpanKind::Task, spans::MAP_TASK, 0, 0, 5).arg("records", 6),
+            ev(SpanKind::Task, spans::MAP_TASK, 1, 0, 4).arg("records", 4),
+            ev(SpanKind::Phase, spans::MAP, 0, 0, 5).arg("records", 10),
+            ev(SpanKind::Spill, spans::SPILL_RUN, 1, 6, 7).arg("bytes", 64),
+            ev(SpanKind::Phase, spans::SHUFFLE, 0, 5, 8)
+                .arg("bytes", 160)
+                .arg("reducers", 2),
+            ev(SpanKind::Reduce, spans::REDUCE, 0, 8, 11)
+                .arg("pairs", 7)
+                .arg("active_peak", 3),
+            ev(SpanKind::Reduce, spans::REDUCE, 1, 8, 9)
+                .arg("pairs", 3)
+                .arg("active_peak", 0),
+            ev(SpanKind::Task, spans::REDUCE_WORKER, 0, 8, 11),
+            ev(SpanKind::Phase, spans::REDUCE, 0, 8, 12),
+            ev(SpanKind::Job, "ok", 0, 0, 12),
+            ev(SpanKind::Phase, spans::MAP, 0, 12, 13).arg("records", 1),
+            ev(SpanKind::Job, "doomed", 0, 12, 14).arg("failed", 1),
+        ]
+    }
+
     #[test]
-    fn execution_shape_series_classification() {
-        for name in [
-            "spill.run_bytes",
-            "map.task_records",
-            "reduce.service_ns",
-            "telemetry.stragglers",
-            "telemetry.heartbeats.map",
-            "progress.map_tasks",
-            "kernel.active_peak",
-        ] {
-            assert!(is_execution_shape_series(name), "{name}");
-        }
-        for name in [
-            "progress.jobs_started",
-            "progress.reduce_values",
-            "telemetry.heartbeats.reduce",
-            "reduce.bucket_pairs",
-            "shuffle.job_bytes",
-        ] {
-            assert!(!is_execution_shape_series(name), "{name}");
-        }
+    fn from_events_folds_counts_args_and_durations() {
+        let s = TelemetrySnapshot::from_events(&trace());
+        let series = |n: &str| s.series[n];
+        assert_eq!(series("progress.jobs_started"), 2);
+        assert_eq!(series("progress.jobs_finished"), 1);
+        assert_eq!(series("progress.map_records"), 11);
+        assert_eq!(series("progress.map_tasks"), 2);
+        assert_eq!(series("progress.reducers"), 2);
+        assert_eq!(series("progress.reducers_done"), 2);
+        let hist = |n: &str| &s.histograms[n];
+        assert_eq!(hist("reduce.bucket_pairs").sum(), 10);
+        assert_eq!(hist("reduce.bucket_pairs").count(), 2);
+        assert_eq!(hist("reduce.service_us").sum(), 4);
+        assert_eq!(hist("map.task_records").sum(), 10);
+        assert_eq!(hist("shuffle.job_bytes").sum(), 160);
+        assert_eq!(hist("spill.run_bytes").sum(), 64);
+        assert_eq!(
+            hist("kernel.active_peak").count(),
+            1,
+            "a zero peak is not sampled"
+        );
+    }
+
+    #[test]
+    fn empty_trace_folds_to_a_zero_seeded_snapshot() {
+        let s = TelemetrySnapshot::from_events(&[]);
+        assert_eq!(s.series.len(), SERIES.len());
+        assert!(s.series.values().all(|&v| v == 0));
+        assert_eq!(s.histograms.len(), HISTOGRAMS.len());
+        assert!(s.histograms.values().all(Histogram::is_empty));
+        let text = s.to_prometheus();
+        assert!(text.contains("ij_spill_run_bytes_bucket{le=\"+Inf\"} 0"));
+        assert!(text.contains("ij_spill_run_bytes_sum 0"));
+        assert!(text.contains("ij_spill_run_bytes_count 0"));
     }
 
     #[test]
     fn data_plane_strips_execution_shape() {
-        let d = snap().data_plane();
+        let d = TelemetrySnapshot::from_events(&trace()).data_plane();
         assert!(d.series.contains_key("progress.jobs_started"));
-        assert!(d.series.contains_key("telemetry.heartbeats.reduce"));
-        assert!(!d.series.contains_key("telemetry.stragglers"));
-        assert!(!d.series.contains_key("telemetry.heartbeats.map"));
+        assert!(!d.series.contains_key("progress.map_tasks"));
         assert!(d.histograms.contains_key("reduce.bucket_pairs"));
-        assert!(!d.histograms.contains_key("reduce.service_ns"));
+        assert!(d.histograms.contains_key("shuffle.job_bytes"));
+        for shape in [
+            "reduce.service_us",
+            "map.task_records",
+            "kernel.active_peak",
+            "spill.run_bytes",
+        ] {
+            assert!(!d.histograms.contains_key(shape), "{shape}");
+        }
     }
 
     #[test]
@@ -168,7 +297,6 @@ mod tests {
         let text = snap().to_prometheus();
         assert!(text.contains("# TYPE ij_progress_jobs_started gauge"));
         assert!(text.contains("ij_progress_jobs_started 2"));
-        assert!(text.contains("# TYPE ij_telemetry_stragglers counter"));
         assert!(text.contains("# TYPE ij_reduce_bucket_pairs histogram"));
         // Samples 1,2,2,900: bucket le="1" -> 1, le="3" -> 3, ..., le="1023" -> 4.
         assert!(
@@ -198,17 +326,6 @@ mod tests {
                 last = v;
             }
         }
-    }
-
-    #[test]
-    fn empty_histogram_renders_zero_samples() {
-        let mut s = TelemetrySnapshot::default();
-        s.histograms
-            .insert("spill.run_bytes".into(), Histogram::new());
-        let text = s.to_prometheus();
-        assert!(text.contains("ij_spill_run_bytes_bucket{le=\"+Inf\"} 0"));
-        assert!(text.contains("ij_spill_run_bytes_sum 0"));
-        assert!(text.contains("ij_spill_run_bytes_count 0"));
     }
 
     #[test]

@@ -1,23 +1,32 @@
-//! Structured tracing: timestamped span events for every level of a job.
+//! The engine's one event stream: timestamped span events for every level
+//! of a job, all stamped from one clock.
 //!
 //! The paper's evaluation is an argument about *where* time and
 //! communication go — which cycle, which phase, which reducer. A
 //! [`Tracer`] attached to an [`crate::Engine`] (via
 //! [`crate::Engine::with_tracer`]) records one span per:
 //!
-//! * **job** — each `run_job` call (one MR cycle of an algorithm);
+//! * **job** — each `run_job` call (one MR cycle of an algorithm); a job
+//!   that ends in an [`crate::EngineError`] still gets its span, carrying
+//!   arg `failed = 1`;
 //! * **phase** — map / shuffle / reduce inside a job;
 //! * **task** — each map worker's chunk and each reduce worker's stint;
 //! * **reduce** — each logical reducer invocation, tagged with its key,
-//!   pairs received and output count (the per-reducer skew, span by span).
+//!   pairs received and output count (the per-reducer skew, span by span);
+//! * **spill** — each run the budgeted shuffle writes to the spill store.
+//!
+//! The tracer owns the engine's clock: every [`crate::JobMetrics`] wall is
+//! the same reading that stamps the matching span, and every other export
+//! is a fold over [`Tracer::snapshot`] — the Chrome trace and JSONL here,
+//! the Prometheus text in [`crate::TelemetrySnapshot::from_events`].
 //!
 //! Recording is lock-cheap: worker threads batch their events into a local
 //! `Vec` and append it to the shared buffer **once per worker per phase**.
 //! Event *order* is deterministic — map-task events land in chunk order,
 //! reduce invocations in bucket (key) order, phase and job spans after
 //! their children — regardless of `worker_threads`; only the timestamps
-//! themselves are wall-clock. With no tracer attached the engine skips all
-//! of this (a per-phase `Option` check; nothing per record).
+//! themselves are wall-clock. With no tracer attached the engine records
+//! no span and reads its clock only at phase boundaries.
 //!
 //! Two exporters:
 //!
@@ -27,11 +36,28 @@
 //! * [`Tracer::jsonl`] — one JSON object per line, for `grep`/`jq`
 //!   pipelines over large traces.
 
+use crate::telemetry::{Clock, MonotonicClock};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-use std::time::Instant;
+use std::sync::Arc;
+
+/// The span names the engine records; the exports fold over them.
+pub mod spans {
+    /// The map phase span.
+    pub const MAP: &str = "map";
+    /// The shuffle phase span.
+    pub const SHUFFLE: &str = "shuffle";
+    /// The reduce phase span, and each reducer invocation's span.
+    pub const REDUCE: &str = "reduce";
+    /// One map worker's chunk.
+    pub const MAP_TASK: &str = "map-task";
+    /// One reduce worker's stint.
+    pub const REDUCE_WORKER: &str = "reduce-worker";
+    /// One spill-run write.
+    pub const SPILL_RUN: &str = "spill-run";
+}
 
 /// What level of the job hierarchy a span describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,19 +124,36 @@ impl TraceEvent {
         }
     }
 
+    /// A span between two clock readings in nanoseconds, stamped in
+    /// whole microseconds like every other span.
+    pub(crate) fn between_ns(
+        kind: SpanKind,
+        name: impl Into<String>,
+        lane: u64,
+        start_ns: u64,
+        end_ns: u64,
+    ) -> Self {
+        TraceEvent::span(kind, name, lane, start_ns / 1000, end_ns / 1000)
+    }
+
     /// Adds one numeric annotation (builder-style).
     pub fn arg(mut self, key: &'static str, value: u64) -> Self {
         self.args.push((key, value));
         self
     }
+
+    /// The value of annotation `key`, if the span carries it.
+    pub fn get(&self, key: &str) -> Option<u64> {
+        self.args.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
 }
 
 /// Collects [`TraceEvent`]s from all workers of all jobs run against one
-/// engine. Cheap to share (`Arc<Tracer>`); see the module docs for the
-/// locking and determinism story.
+/// engine, stamped from its [`Clock`]. Cheap to share (`Arc<Tracer>`); see
+/// the module docs for the locking and determinism story.
 #[derive(Debug)]
 pub struct Tracer {
-    epoch: Instant,
+    clock: Arc<dyn Clock>,
     events: Mutex<Vec<TraceEvent>>,
 }
 
@@ -121,21 +164,29 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A fresh tracer; its epoch (timestamp zero) is the moment of creation.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "span timestamps are the tracer's purpose and never reach job output"
-    )]
+    /// A fresh tracer on a [`MonotonicClock`]; its epoch (timestamp zero)
+    /// is the moment of creation.
     pub fn new() -> Self {
+        Tracer::with_clock(Arc::new(MonotonicClock::new()))
+    }
+
+    /// A fresh tracer on `clock` — tests and the determinism audit pass a
+    /// [`crate::VirtualClock`], so every wall and span reads a known value.
+    pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         Tracer {
-            epoch: Instant::now(),
+            clock,
             events: Mutex::new(Vec::new()),
         }
     }
 
-    /// Microseconds elapsed since the tracer's epoch.
+    /// The clock this tracer stamps spans from.
+    pub fn clock(&self) -> &Arc<dyn Clock> {
+        &self.clock
+    }
+
+    /// Microseconds elapsed since the clock's epoch.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.clock.now_nanos() / 1000
     }
 
     /// Records one event (one lock acquisition).
@@ -232,8 +283,7 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
-/// Shared with the telemetry flight recorder's JSONL dump.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -323,5 +373,18 @@ mod tests {
         let a = t.now_us();
         let b = t.now_us();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn with_clock_stamps_from_the_given_clock() {
+        let clock = Arc::new(crate::VirtualClock::new());
+        let t = Tracer::with_clock(clock.clone());
+        assert_eq!(t.now_us(), 0);
+        clock.set(42_999);
+        assert_eq!(t.now_us(), 42, "nanoseconds truncate to whole microseconds");
+        let ev = TraceEvent::between_ns(SpanKind::Reduce, "r", 0, 1_999, 5_000).arg("pairs", 3);
+        assert_eq!((ev.start_us, ev.dur_us), (1, 4));
+        assert_eq!(ev.get("pairs"), Some(3));
+        assert_eq!(ev.get("failed"), None);
     }
 }

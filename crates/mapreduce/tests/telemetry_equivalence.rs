@@ -1,30 +1,32 @@
-//! Property tests for the live-telemetry plane (DESIGN.md §13).
+//! Property tests for the metrics folded from the trace (DESIGN.md §13).
 //!
-//! The telemetry subsystem promises its *data-plane* snapshot — progress
-//! gauges, reduce heartbeats, the `reduce.bucket_pairs` and
-//! `shuffle.job_bytes` histograms — is byte-identical in Prometheus text
-//! form across `worker_threads` counts and reduce-memory budgets, exactly
-//! like job outputs. Execution-shape series (map heartbeats, stragglers,
-//! `spill.*`, `*_ns` timings) are excluded by `data_plane()`. These tests
-//! pin that contract, plus the flight recorder's crash-dump path.
+//! The fold promises its *data-plane* snapshot — the progress gauges and
+//! the `reduce.bucket_pairs` and `shuffle.job_bytes` histograms — is
+//! byte-identical in Prometheus text form across `worker_threads` counts
+//! and reduce-memory budgets, exactly like job outputs. Execution-shape
+//! names (map tasks, `spill.*`, `*_us` timings) are excluded by
+//! `data_plane()`. These tests pin that contract, plus the trace a failed
+//! job leaves behind.
 
 use ij_mapreduce::{
-    ClusterConfig, Emitter, Engine, EngineError, FaultPlan, JobOutput, ReduceCtx, Telemetry,
-    TelemetryConfig, ValueStream, VirtualClock,
+    ClusterConfig, Emitter, Engine, EngineError, FaultPlan, JobOutput, ReduceCtx, SpanKind,
+    TelemetrySnapshot, Tracer, ValueStream, VirtualClock,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A telemetry plane with a virtual clock (timestamps carry no entropy)
-/// and a tiny heartbeat quantum so reduce heartbeats fire at test scale.
-fn telemetry() -> Arc<Telemetry> {
-    Arc::new(Telemetry::with_clock(
-        TelemetryConfig {
-            heartbeat_every: 8,
-            ..TelemetryConfig::default()
-        },
-        Arc::new(VirtualClock::new()),
-    ))
+/// A tracer on a virtual clock (timestamps carry no entropy), whose
+/// `snapshot` is the Prometheus fold over its events.
+struct Folded(Arc<Tracer>);
+
+impl Folded {
+    fn snapshot(&self) -> TelemetrySnapshot {
+        TelemetrySnapshot::from_events(&self.0.snapshot())
+    }
+}
+
+fn telemetry() -> Arc<Tracer> {
+    Arc::new(Tracer::with_clock(Arc::new(VirtualClock::new())))
 }
 
 fn engine(threads: usize, budget: Option<u64>) -> Engine {
@@ -36,17 +38,17 @@ fn engine(threads: usize, budget: Option<u64>) -> Engine {
     })
 }
 
-/// Runs the shared fan-out job against an instrumented engine and
-/// returns the output plus the attached telemetry plane.
+/// Runs the shared fan-out job against a traced engine and returns the
+/// output plus the fold over its trace.
 fn run(
     input: &[u64],
     fanout: u64,
     threads: usize,
     budget: Option<u64>,
-) -> (JobOutput<(u64, u64)>, Arc<Telemetry>) {
+) -> (JobOutput<(u64, u64)>, Folded) {
     let tel = telemetry();
     let out = engine(threads, budget)
-        .with_telemetry(Arc::clone(&tel))
+        .with_tracer(Arc::clone(&tel))
         .run_job(
             "telemetry-prop",
             input,
@@ -62,7 +64,7 @@ fn run(
             },
         )
         .expect("job runs");
-    (out, tel)
+    (out, Folded(tel))
 }
 
 proptest! {
@@ -91,32 +93,31 @@ proptest! {
 }
 
 #[test]
-fn snapshot_tracks_progress_and_heartbeats() {
+fn snapshot_folds_progress_from_spans() {
     let input: Vec<u64> = (0..200).collect();
     let (out, tel) = run(&input, 3, 4, None);
     let snap = tel.snapshot();
     assert_eq!(snap.series["progress.jobs_started"], 1);
     assert_eq!(snap.series["progress.jobs_finished"], 1);
     assert_eq!(snap.series["progress.map_records"], 200);
+    assert_eq!(snap.series["progress.map_tasks"], 4);
     assert_eq!(
         snap.series["progress.reducers"],
         snap.series["progress.reducers_done"]
     );
-    assert_eq!(
-        snap.series["progress.reduce_values"],
-        out.metrics.intermediate_pairs
-    );
-    assert!(snap.series["telemetry.heartbeats.reduce"] > 0);
     let pairs = snap.histograms.get("reduce.bucket_pairs").expect("hist");
     assert_eq!(pairs.sum(), out.metrics.intermediate_pairs);
-    assert!(snap.histograms.contains_key("reduce.service_ns"));
+    assert_eq!(pairs.count(), out.metrics.distinct_reducers);
+    let service = snap.histograms.get("reduce.service_us").expect("hist");
+    assert_eq!(service.count(), out.metrics.distinct_reducers);
 }
 
 #[test]
-fn failed_job_dumps_flight_recorder_jsonl() {
-    let tel = telemetry();
+fn failed_job_leaves_its_trace() {
+    // Bucket 0 fails every attempt; the other worker finishes 1, 2 and 3.
+    let tracer = telemetry();
     let result = engine(2, None)
-        .with_telemetry(Arc::clone(&tel))
+        .with_tracer(Arc::clone(&tracer))
         .with_faults(FaultPlan::new().fail("doomed", 0, 10).with_max_attempts(2))
         .run_job(
             "doomed",
@@ -128,31 +129,51 @@ fn failed_job_dumps_flight_recorder_jsonl() {
         matches!(result, Err(EngineError::MaxAttemptsExceeded { .. })),
         "{result:?}"
     );
-    let dump = tel
-        .last_flight_dump()
-        .expect("error path freezes a flight-recorder dump");
-    assert!(!dump.is_empty());
-    for line in dump.lines() {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "flight dump is JSONL, got {line:?}"
-        );
-    }
-    assert!(
-        dump.lines().any(|l| l.contains("\"event\":\"error\"")),
-        "{dump}"
-    );
-    assert!(dump.contains("doomed"), "{dump}");
-    assert!(
-        dump.lines().any(|l| l.contains("\"event\":\"job_start\"")),
-        "the events leading up to the failure are retained: {dump}"
-    );
-}
+    let events = tracer.snapshot();
+    let phases: Vec<&str> = events
+        .iter()
+        .filter(|e| e.kind == SpanKind::Phase)
+        .map(|e| e.name.as_str())
+        .collect();
+    assert_eq!(phases, vec!["map", "shuffle"], "no reduce phase completed");
+    let finished: Vec<u64> = events
+        .iter()
+        .filter(|e| e.kind == SpanKind::Reduce)
+        .filter_map(|e| e.get("key"))
+        .collect();
+    assert_eq!(finished, vec![1, 2, 3], "finished buckets, in key order");
+    let job = events.last().expect("job span closes the trace");
+    assert_eq!((job.kind, job.name.as_str()), (SpanKind::Job, "doomed"));
+    assert_eq!(job.get("failed"), Some(1));
 
-#[test]
-fn flight_dump_is_not_frozen_on_success() {
-    let input: Vec<u64> = (0..32).collect();
-    let (_, tel) = run(&input, 2, 2, None);
-    assert!(tel.last_flight_dump().is_none());
-    assert!(!tel.flight().is_empty(), "events still recorded live");
+    // The same record, as JSONL: one object per line, the job span last.
+    let jsonl = tracer.jsonl();
+    assert!(jsonl
+        .lines()
+        .all(|l| l.starts_with('{') && l.ends_with('}')));
+    let last = jsonl.lines().last().expect("non-empty");
+    assert!(
+        last.contains("\"cat\":\"job\"") && last.contains("\"failed\":1"),
+        "{last}"
+    );
+    assert_eq!(
+        jsonl
+            .lines()
+            .filter(|l| l.contains("\"cat\":\"reduce\""))
+            .count(),
+        3
+    );
+
+    // A successful job's span carries no `failed` arg; the fold counts the
+    // failed job as started but not finished.
+    let (_, ok) = run(&(0..32).collect::<Vec<_>>(), 2, 2, None);
+    let events = ok.0.snapshot();
+    let job = events
+        .iter()
+        .find(|e| e.kind == SpanKind::Job)
+        .expect("job span");
+    assert_eq!(job.get("failed"), None);
+    let snap = TelemetrySnapshot::from_events(&tracer.snapshot());
+    assert_eq!(snap.series["progress.jobs_started"], 1);
+    assert_eq!(snap.series["progress.jobs_finished"], 0);
 }

@@ -33,7 +33,7 @@ use ij_interval::AllenPredicate::{Before, Contains, Overlaps};
 use ij_interval::{Interval, Relation};
 use ij_mapreduce::metrics::names;
 use ij_mapreduce::{
-    is_execution_shape, ClusterConfig, CostModel, Dfs, Engine, Telemetry, TelemetryConfig,
+    is_execution_shape, ClusterConfig, CostModel, Dfs, Engine, TelemetrySnapshot, Tracer,
     VirtualClock,
 };
 use ij_query::JoinQuery;
@@ -263,19 +263,12 @@ fn snapshot(
     threads: usize,
     budget: Option<u64>,
 ) -> Result<Snapshot, String> {
-    // A virtual clock keeps telemetry timestamps at zero, and a small
-    // heartbeat quantum makes reduce-side heartbeats actually fire at
-    // audit scale — the data-plane telemetry snapshot joins the byte-diff
-    // below, so heartbeat/gauge/histogram drift across thread counts or
-    // budgets fails the audit exactly like output drift.
-    let telemetry = Arc::new(Telemetry::with_clock(
-        TelemetryConfig {
-            heartbeat_every: 8,
-            ..TelemetryConfig::default()
-        },
-        Arc::new(VirtualClock::new()),
-    ));
-    let engine = engine_with_threads(threads, budget).with_telemetry(Arc::clone(&telemetry));
+    // A virtual clock keeps every span timestamp at zero. The data-plane
+    // fold of the trace joins the byte-diff below, so gauge or histogram
+    // drift across thread counts or budgets fails the audit exactly like
+    // output drift.
+    let tracer = Arc::new(Tracer::with_clock(Arc::new(VirtualClock::new())));
+    let engine = engine_with_threads(threads, budget).with_tracer(Arc::clone(&tracer));
     let out = algo
         .run(q, input, &engine)
         .map_err(|e| format!("{} failed under {threads} threads: {e}", algo.name()))?;
@@ -297,8 +290,8 @@ fn snapshot(
         }
         lines.push(format!("counter {k}={v}"));
     }
-    let tel_snapshot = telemetry.snapshot();
-    for line in tel_snapshot.data_plane().to_prometheus().lines() {
+    let folded = TelemetrySnapshot::from_events(&tracer.snapshot());
+    for line in folded.data_plane().to_prometheus().lines() {
         lines.push(format!("telemetry {line}"));
     }
     let dfs = Dfs::new();
@@ -416,18 +409,15 @@ mod tests {
             "telemetry lines missing from audit snapshot"
         );
         assert!(text.contains("telemetry # TYPE ij_reduce_bucket_pairs histogram"));
-        let heartbeats = text
+        let reducers_done = text
             .lines()
-            .find_map(|l| l.strip_prefix("telemetry ij_telemetry_heartbeats_reduce "))
+            .find_map(|l| l.strip_prefix("telemetry ij_progress_reducers_done "))
             .and_then(|v| v.parse::<u64>().ok())
-            .expect("reduce heartbeat series present");
-        assert!(
-            heartbeats > 0,
-            "heartbeat quantum of 8 never fired:\n{text}"
-        );
-        // Execution-shape telemetry must NOT be in the byte-diffed bytes.
-        assert!(!text.contains("ij_telemetry_stragglers"));
-        assert!(!text.contains("ij_reduce_service_ns"));
+            .expect("reducers-done series present");
+        assert!(reducers_done > 0, "no reduce span was folded:\n{text}");
+        // Execution-shape names must NOT be in the byte-diffed bytes.
+        assert!(!text.contains("ij_reduce_service_us"));
+        assert!(!text.contains("ij_map_task_records"));
         assert!(!text.contains("ij_spill_run_bytes"));
     }
 

@@ -12,7 +12,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `kernel-doc` | every `pub fn` in `core::kernel` states the predicate classes it is complete for |
-//! | `counter-registry` | every counter/histogram name is a `mapreduce::metrics::names` constant; the execution-shape classifiers are defined only in that registry |
+//! | `counter-registry` | every counter/histogram name is a `mapreduce::metrics::names` constant; the execution-shape classifier is defined only in that registry |
 //! | `lock-discipline` | no nested guard acquisitions; no guard held across a `ValueStream` pull or Dfs I/O call |
 //!
 //! The static checks are validated against the property they protect:

@@ -5,7 +5,7 @@
 //!   predicate classes it is complete for;
 //! * `counter-registry` — every counter/histogram name is a
 //!   `mapreduce::metrics::names` constant, and the execution-shape
-//!   classifiers are defined only in that registry;
+//!   classifier is defined only in that registry;
 //! * `lock-discipline` — no nested guard acquisitions, no guard held
 //!   across a `ValueStream` pull or Dfs I/O call.
 //!
@@ -239,10 +239,10 @@ fn doc_block_above(
 
 /// Metric-recording methods whose first string argument *must* be a
 /// registered name.
-const RECORDING_METHODS: &[&str] = &["inc", "record", "inc_series", "record_hist"];
+const RECORDING_METHODS: &[&str] = &["inc", "record"];
 
 /// Classifier functions that must live inside the registry module.
-const REGISTRY_CLASSIFIERS: &[&str] = &["is_execution_shape", "is_execution_shape_series"];
+const REGISTRY_CLASSIFIERS: &[&str] = &["is_execution_shape"];
 
 /// Parses `pub const IDENT: &str = "value";` declarations from the
 /// registry module's token stream, mapping value → const name.
@@ -289,7 +289,7 @@ fn counter_registry(files: &[(LexedFile, FileSymbols)], out: &mut Vec<Violation>
                     line: d.line,
                     message: format!(
                         "`fn {}` defined outside `metrics/names.rs`: the \
-                         execution-shape sets can silently drift",
+                         execution-shape set can silently drift",
                         d.name
                     ),
                     suggestion: "move the classifier into the \

@@ -108,10 +108,8 @@ pub fn extract(path: &str, lexed: &LexedFile) -> FileSymbols {
             let record_call = if i >= 3
                 && punct(i - 1, "(")
                 && punct(i - 3, ".")
-                && matches!(
-                    ident(i - 2),
-                    Some("inc" | "record" | "inc_series" | "record_hist" | "get")
-                ) {
+                && matches!(ident(i - 2), Some("inc" | "record" | "get"))
+            {
                 ident(i - 2).map(str::to_string)
             } else {
                 None

@@ -54,10 +54,10 @@ fn counter_registry_detects_all_three_drift_shapes() {
     assert!(v.iter().any(|v| v.message.contains("spill.rogue")));
     assert!(v
         .iter()
-        .any(|v| v.message.contains("names::REDUCE_SERVICE_NS")));
+        .any(|v| v.message.contains("names::REDUCE_SERVICE_US")));
     assert!(v
         .iter()
-        .any(|v| v.message.contains("is_execution_shape_series")));
+        .any(|v| v.message.contains("`fn is_execution_shape`")));
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn suggestions_name_the_mechanical_fix() {
     ]);
     assert!(
         v.iter()
-            .any(|v| v.suggestion.contains("names::REDUCE_SERVICE_NS")),
+            .any(|v| v.suggestion.contains("names::REDUCE_SERVICE_US")),
         "{v:?}"
     );
 }

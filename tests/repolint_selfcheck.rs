@@ -29,9 +29,9 @@ fn workspace_check_is_clean() {
 
 #[test]
 fn execution_shape_classifiers_are_registry_backed() {
-    // The satellite dedup: both classifiers must be the registry's —
-    // the historical re-export paths and the registry module agree on
-    // every registered name.
+    // One classifier serves counters, series and histograms: the crate-root
+    // re-export is the registry's function, and every name it singles out
+    // is registered.
     use ij_mapreduce::metrics::names;
     for name in names::ALL {
         assert_eq!(
@@ -39,14 +39,16 @@ fn execution_shape_classifiers_are_registry_backed() {
             names::is_execution_shape(name),
             "{name}"
         );
-        assert_eq!(
-            ij_mapreduce::telemetry::snapshot::is_execution_shape_series(name),
-            names::is_execution_shape_series(name),
-            "{name}"
+    }
+    for name in names::SHAPE_NAMES {
+        assert!(
+            names::ALL.contains(name),
+            "{name} classified but unregistered"
         );
     }
-    // The one intentionally split classification stays pinned: reduce
-    // heartbeats are execution-shape as counters but data-plane as series.
-    assert!(names::is_execution_shape(names::HEARTBEATS_REDUCE));
-    assert!(!names::is_execution_shape_series(names::HEARTBEATS_REDUCE));
+    // A counter family, a series and a histogram, all through the one list.
+    assert!(names::is_execution_shape(names::SPILL_RUNS));
+    assert!(names::is_execution_shape(names::PROGRESS_MAP_TASKS));
+    assert!(names::is_execution_shape(names::REDUCE_SERVICE_US));
+    assert!(!names::is_execution_shape(names::REDUCE_BUCKET_PAIRS));
 }
