@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_core::executor::{join_single_attr, Candidates};
 use ij_core::kernel::{Owner, Sink};
+use ij_core::SingleAttr;
 use ij_interval::AllenPredicate::{Before, Contains, Overlaps};
 use ij_interval::Interval;
 use ij_query::JoinQuery;
@@ -33,11 +34,17 @@ fn bench_executor(c: &mut Criterion) {
 
     for &n in &[500usize, 2000] {
         let q = JoinQuery::chain(&[Overlaps, Overlaps]).unwrap();
+        let single = SingleAttr::new(&q).unwrap();
         let cands = candidates(3, n, 50_000, 100, 7);
         group.bench_with_input(BenchmarkId::new("overlap_chain_3way", n), &n, |b, _| {
             b.iter(|| {
                 let mut outs = 0u64;
-                join_single_attr(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| outs += 1));
+                join_single_attr(
+                    single,
+                    &cands,
+                    &Owner::all(),
+                    Sink::Emit(&mut |_| outs += 1),
+                );
                 outs
             })
         });
@@ -45,22 +52,34 @@ fn bench_executor(c: &mut Criterion) {
 
     // Sequence joins have inherently unbounded windows; output-sized work.
     let q = JoinQuery::chain(&[Before]).unwrap();
+    let single = SingleAttr::new(&q).unwrap();
     let cands = candidates(2, 400, 5_000, 50, 8);
     group.bench_function("before_2way_400", |b| {
         b.iter(|| {
             let mut outs = 0u64;
-            join_single_attr(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| outs += 1));
+            join_single_attr(
+                single,
+                &cands,
+                &Owner::all(),
+                Sink::Emit(&mut |_| outs += 1),
+            );
             outs
         })
     });
 
     // Containment chains exercise the both-sided windows.
     let q = JoinQuery::chain(&[Contains, Contains]).unwrap();
+    let single = SingleAttr::new(&q).unwrap();
     let cands = candidates(3, 1000, 20_000, 400, 9);
     group.bench_function("contains_chain_1k", |b| {
         b.iter(|| {
             let mut outs = 0u64;
-            join_single_attr(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| outs += 1));
+            join_single_attr(
+                single,
+                &cands,
+                &Owner::all(),
+                Sink::Emit(&mut |_| outs += 1),
+            );
             outs
         })
     });

@@ -20,6 +20,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ij_core::executor::Candidates;
 use ij_core::kernel::{self, Owner, Sink};
+use ij_core::SingleAttr;
 use ij_interval::{Interval, TupleId};
 use ij_query::JoinQuery;
 use rand::rngs::StdRng;
@@ -122,6 +123,7 @@ fn plane_sweep_oracle_count(q: &JoinQuery, c: &Candidates) -> u64 {
 fn bench_overlap_heavy(c: &mut Criterion) {
     let n = 3000;
     let q = JoinQuery::chain(&[ij_interval::AllenPredicate::Overlaps]).unwrap();
+    let single = SingleAttr::new(&q).unwrap();
     let cands = overlap_bucket(n, 7);
     let expect = nested_loop_count(&q, &cands);
 
@@ -143,21 +145,31 @@ fn bench_overlap_heavy(c: &mut Criterion) {
     group.bench_function("windowed_backtracking", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::backtrack_join(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| *count += 1));
+                kernel::backtrack_join(
+                    single,
+                    &cands,
+                    &Owner::all(),
+                    Sink::Emit(&mut |_| *count += 1),
+                );
             })
         })
     });
     group.bench_function("dispatching_kernel", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::execute(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| *count += 1));
+                kernel::execute(
+                    single,
+                    &cands,
+                    &Owner::all(),
+                    Sink::Emit(&mut |_| *count += 1),
+                );
             })
         })
     });
     group.bench_function("dispatching_kernel_count", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::execute(&q, &cands, &Owner::all(), Sink::Count(count));
+                kernel::execute(single, &cands, &Owner::all(), Sink::Count(count));
             })
         })
     });
@@ -167,6 +179,7 @@ fn bench_overlap_heavy(c: &mut Criterion) {
 fn bench_sequence_heavy(c: &mut Criterion) {
     let n = 1200;
     let q = JoinQuery::chain(&[ij_interval::AllenPredicate::Before]).unwrap();
+    let single = SingleAttr::new(&q).unwrap();
     let cands = sequence_bucket(n, 11);
     let expect = nested_loop_count(&q, &cands);
 
@@ -178,7 +191,12 @@ fn bench_sequence_heavy(c: &mut Criterion) {
     group.bench_function("windowed_backtracking", |b| {
         b.iter(|| {
             let mut count = 0u64;
-            kernel::backtrack_join(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| count += 1));
+            kernel::backtrack_join(
+                single,
+                &cands,
+                &Owner::all(),
+                Sink::Emit(&mut |_| count += 1),
+            );
             assert_eq!(count, expect);
             criterion::black_box(count)
         })
@@ -186,7 +204,12 @@ fn bench_sequence_heavy(c: &mut Criterion) {
     group.bench_function("dispatching_kernel", |b| {
         b.iter(|| {
             let mut count = 0u64;
-            kernel::execute(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| count += 1));
+            kernel::execute(
+                single,
+                &cands,
+                &Owner::all(),
+                Sink::Emit(&mut |_| count += 1),
+            );
             assert_eq!(count, expect);
             criterion::black_box(count)
         })
@@ -194,7 +217,7 @@ fn bench_sequence_heavy(c: &mut Criterion) {
     group.bench_function("dispatching_kernel_count", |b| {
         b.iter(|| {
             let mut count = 0u64;
-            kernel::execute(&q, &cands, &Owner::all(), Sink::Count(&mut count));
+            kernel::execute(single, &cands, &Owner::all(), Sink::Count(&mut count));
             assert_eq!(count, expect);
             criterion::black_box(count)
         })
@@ -280,6 +303,7 @@ fn clique_nested_loop_count(q: &JoinQuery, c: &Candidates) -> u64 {
 fn bench_event_sweep(c: &mut Criterion) {
     let n = 12000;
     let q = clique3();
+    let single = SingleAttr::new(&q).unwrap();
     let cands = clique_bucket([6000, 4000, 2000], 8000, 13);
     let expect = clique_nested_loop_count(&q, &cands);
     assert!(expect > 0, "clique workload too sparse");
@@ -296,14 +320,24 @@ fn bench_event_sweep(c: &mut Criterion) {
     group.bench_function("windowed_backtracking", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::backtrack_join(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| *count += 1));
+                kernel::backtrack_join(
+                    single,
+                    &cands,
+                    &Owner::all(),
+                    Sink::Emit(&mut |_| *count += 1),
+                );
             })
         })
     });
     group.bench_function("dual_window_sweep", |b| {
         b.iter(|| {
             count_with(&|count| {
-                kernel::sweep_join(&q, &cands, &Owner::all(), Sink::Emit(&mut |_| *count += 1));
+                kernel::sweep_join(
+                    single,
+                    &cands,
+                    &Owner::all(),
+                    Sink::Emit(&mut |_| *count += 1),
+                );
             })
         })
     });
@@ -311,7 +345,7 @@ fn bench_event_sweep(c: &mut Criterion) {
         b.iter(|| {
             count_with(&|count| {
                 kernel::event_sweep_join(
-                    &q,
+                    single,
                     &cands,
                     &Owner::all(),
                     Sink::Emit(&mut |_| *count += 1),

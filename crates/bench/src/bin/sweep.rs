@@ -122,7 +122,7 @@ fn main() {
                 let kernel: Vec<String> = m
                     .counters
                     .iter()
-                    .filter(|(k, _)| k.starts_with("kernel."))
+                    .filter(|(k, _)| k.as_str().starts_with("kernel."))
                     .map(|(k, v)| format!("{k}={v}"))
                     .collect();
                 if !kernel.is_empty() {

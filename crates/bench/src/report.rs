@@ -1,7 +1,7 @@
 //! Result tables: aligned console output plus machine-readable JSON (used
 //! to regenerate EXPERIMENTS.md).
 
-use ij_mapreduce::metrics::names;
+use ij_mapreduce::metrics::names::{self, Name};
 use ij_mapreduce::{Counters, ReducerLoad, SkewReport, TelemetrySnapshot};
 use serde::Serialize;
 use std::io::Write;
@@ -244,7 +244,7 @@ fn fmt_secs(s: f64) -> String {
 /// reducer progress, and the reduce service-time histogram's spread when
 /// it holds samples.
 pub fn telemetry_note(snap: &TelemetrySnapshot) -> String {
-    let s = |name: &str| snap.series.get(name).copied().unwrap_or(0);
+    let s = |name: Name| snap.series.get(&name).copied().unwrap_or(0);
     let mut out = format!(
         "telemetry: jobs {}/{} reducers {}/{}",
         s(names::PROGRESS_JOBS_FINISHED),
@@ -252,7 +252,7 @@ pub fn telemetry_note(snap: &TelemetrySnapshot) -> String {
         s(names::PROGRESS_REDUCERS_DONE),
         s(names::PROGRESS_REDUCERS),
     );
-    if let Some(h) = snap.histograms.get(names::REDUCE_SERVICE_US) {
+    if let Some(h) = snap.histograms.get(&names::REDUCE_SERVICE_US) {
         if let (Some(min), Some(max)) = (h.min(), h.max()) {
             out.push_str(&format!(" service_us[min={min} max={max} n={}]", h.count()));
         }
@@ -339,9 +339,9 @@ mod tests {
     fn fmt_spill_shows_dash_without_spills() {
         let mut c = Counters::new();
         assert_eq!(fmt_spill(&c, 0.0), "-");
-        c.inc("spill.buckets", 2);
-        c.inc("spill.runs", 5);
-        c.inc("spill.bytes", 4096);
+        c.inc(names::SPILL_BUCKETS, 2);
+        c.inc(names::SPILL_RUNS, 5);
+        c.inc(names::SPILL_BYTES, 4096);
         let s = fmt_spill(&c, 0.25);
         assert!(s.starts_with("2b/5r/4096B"), "{s}");
     }
@@ -438,14 +438,14 @@ mod tests {
         let empty = telemetry_note(&snap);
         assert!(empty.contains("jobs 0/0"), "{empty}");
         assert!(!empty.contains("service_us"), "{empty}");
-        snap.series.insert("progress.jobs_started".into(), 3);
-        snap.series.insert("progress.jobs_finished".into(), 3);
-        snap.series.insert("progress.reducers".into(), 16);
-        snap.series.insert("progress.reducers_done".into(), 16);
+        snap.series.insert(names::PROGRESS_JOBS_STARTED, 3);
+        snap.series.insert(names::PROGRESS_JOBS_FINISHED, 3);
+        snap.series.insert(names::PROGRESS_REDUCERS, 16);
+        snap.series.insert(names::PROGRESS_REDUCERS_DONE, 16);
         let mut h = ij_mapreduce::Histogram::new();
         h.record(100);
         h.record(900);
-        snap.histograms.insert("reduce.service_us".into(), h);
+        snap.histograms.insert(names::REDUCE_SERVICE_US, h);
         let note = telemetry_note(&snap);
         assert!(note.contains("jobs 3/3"), "{note}");
         assert!(note.contains("reducers 16/16"), "{note}");

@@ -156,6 +156,7 @@ mod tests {
     use ij_core::two_way::TwoWayJoin;
     use ij_core::OutputMode;
     use ij_interval::{AllenPredicate::Overlaps, Interval, Relation};
+    use ij_mapreduce::metrics::names;
 
     #[test]
     fn measure_runs_and_counts() {
@@ -272,13 +273,13 @@ mod tests {
         };
         let (unbudgeted, _) = instrumented_engine(4, None, false);
         let base = measure(&alg, &q, &input, &unbudgeted);
-        assert_eq!(base.counters.get("spill.buckets"), 0);
+        assert_eq!(base.counters.get(names::SPILL_BUCKETS), 0);
         assert_eq!(base.spill_secs, 0.0);
 
         let (budgeted, _) = instrumented_engine(4, Some(64), false);
         let m = measure(&alg, &q, &input, &budgeted);
         assert_eq!(m.output, base.output, "budget must not change the join");
-        assert!(m.counters.get("spill.buckets") > 0);
+        assert!(m.counters.get(names::SPILL_BUCKETS) > 0);
         assert!(m.spill_secs > 0.0);
     }
 }

@@ -132,17 +132,42 @@ pub fn iv_records(input: &JoinInput) -> Vec<IvRec> {
     recs
 }
 
-/// Requires a query to be single-attribute (classes Colocation, Sequence,
-/// Hybrid), returning an [`AlgoError`] otherwise.
-pub fn require_single_attr(algorithm: &'static str, q: &JoinQuery) -> Result<(), AlgoError> {
-    if q.class() == ij_query::QueryClass::General {
-        Err(AlgoError::Unsupported {
-            algorithm,
-            reason: "query uses multiple attributes; use Gen-Matrix".into(),
-        })
-    } else {
-        Ok(())
+/// Proof that a query is single-attribute (class Colocation, Sequence or
+/// Hybrid): the precondition of every join kernel in [`crate::kernel`].
+///
+/// The only way to get one is [`SingleAttr::new`] (or
+/// [`require_single_attr`]), which checks the query's class, so a kernel
+/// that takes a `SingleAttr` cannot be handed a multi-attribute query.
+/// `Copy` and dereferences to the [`JoinQuery`].
+#[derive(Debug, Clone, Copy)]
+pub struct SingleAttr<'q>(&'q JoinQuery);
+
+impl<'q> SingleAttr<'q> {
+    /// `Some` proof when `q` is single-attribute, `None` for a
+    /// multi-attribute (General) query.
+    pub fn new(q: &'q JoinQuery) -> Option<SingleAttr<'q>> {
+        (q.class() != ij_query::QueryClass::General).then_some(SingleAttr(q))
     }
+}
+
+impl std::ops::Deref for SingleAttr<'_> {
+    type Target = JoinQuery;
+
+    fn deref(&self) -> &JoinQuery {
+        self.0
+    }
+}
+
+/// Requires a query to be single-attribute (classes Colocation, Sequence,
+/// Hybrid), returning the [`SingleAttr`] proof or an [`AlgoError`].
+pub fn require_single_attr<'q>(
+    algorithm: &'static str,
+    q: &'q JoinQuery,
+) -> Result<SingleAttr<'q>, AlgoError> {
+    SingleAttr::new(q).ok_or_else(|| AlgoError::Unsupported {
+        algorithm,
+        reason: "query uses multiple attributes; use Gen-Matrix".into(),
+    })
 }
 
 /// Short-circuit for provably unsatisfiable queries (contradictory

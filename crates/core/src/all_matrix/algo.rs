@@ -79,7 +79,7 @@ impl Algorithm for AllMatrix {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
+        let q = require_single_attr(self.name(), query)?;
         let order = query.start_order();
         if order.contradictory() {
             return Ok(empty_output(self.mode));
@@ -96,7 +96,6 @@ impl Algorithm for AllMatrix {
         let total = space.total_cells();
 
         let mode = self.mode;
-        let q = query.clone();
         let partc = part.clone();
         let spacec = space.clone();
         let out = engine.run_job(
@@ -112,7 +111,7 @@ impl Algorithm for AllMatrix {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                kernel::reduce_into(ctx, &q, &cands, &Owner::all(), mode, out);
+                kernel::reduce_into(ctx, q, &cands, &Owner::all(), mode, out);
             },
         )?;
 

@@ -64,7 +64,7 @@ impl Algorithm for AllReplicate {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
+        let q = require_single_attr(self.name(), query)?;
         if query.start_order().contradictory() {
             return Ok(empty_output(self.mode));
         }
@@ -82,7 +82,6 @@ impl Algorithm for AllReplicate {
 
         let m = query.num_relations() as usize;
         let mode = self.mode;
-        let q = query.clone();
         let partc = part.clone();
         let need_owner_filter = projected.is_none();
         let out = engine.run_job(
@@ -120,7 +119,7 @@ impl Algorithm for AllReplicate {
                 } else {
                     Owner::all()
                 };
-                kernel::reduce_into(ctx, &q, &cands, &owner, mode, out);
+                kernel::reduce_into(ctx, q, &cands, &owner, mode, out);
             },
         )?;
 
@@ -267,12 +266,12 @@ mod tests {
         let c = out.chain.total_counters();
         // R1+R2 replicate (110 intervals, >= 1 copy each); R3 projects one
         // pair per interval.
-        assert!(c.get("allrep.replica_pairs") >= 110);
-        assert_eq!(c.get("allrep.projected_pairs"), 70);
-        assert!(c.get("join.candidates") >= c.get("join.emitted"));
+        assert!(c.get(names::ALLREP_REPLICA_PAIRS) >= 110);
+        assert_eq!(c.get(names::ALLREP_PROJECTED_PAIRS), 70);
+        assert!(c.get(names::JOIN_CANDIDATES) >= c.get(names::JOIN_EMITTED));
         // Counters and shuffle metrics agree on total communication.
         assert_eq!(
-            c.get("allrep.replica_pairs") + c.get("allrep.projected_pairs"),
+            c.get(names::ALLREP_REPLICA_PAIRS) + c.get(names::ALLREP_PROJECTED_PAIRS),
             out.chain.total_pairs()
         );
     }

@@ -28,7 +28,12 @@ pub enum CascRec {
     /// Composite carrying the already-joined relations.
     Comp(CompRec),
     /// A tuple of the relation this stage introduces.
-    Base { tid: TupleId, iv: Interval },
+    Base {
+        /// The tuple's id within its relation.
+        tid: TupleId,
+        /// The tuple's interval.
+        iv: Interval,
+    },
 }
 
 impl Record for CascRec {
@@ -542,13 +547,13 @@ mod tests {
         // Every stage shuffles both composites and base tuples, and the two
         // counter classes account for its whole communication volume.
         for cycle in &out.chain.cycles {
-            let comp = cycle.counters.get("cascade.comp_pairs");
-            let base = cycle.counters.get("cascade.base_pairs");
+            let comp = cycle.counters.get(names::CASCADE_COMP_PAIRS);
+            let base = cycle.counters.get(names::CASCADE_BASE_PAIRS);
             assert!(base > 0, "stage {} shuffled no base tuples", cycle.name);
             assert_eq!(comp + base, cycle.intermediate_pairs, "{}", cycle.name);
         }
         let c = out.chain.total_counters();
-        assert!(c.get("join.candidates") >= c.get("join.emitted"));
+        assert!(c.get(names::JOIN_CANDIDATES) >= c.get(names::JOIN_EMITTED));
     }
 
     #[test]

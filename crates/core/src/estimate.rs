@@ -206,6 +206,11 @@ pub enum AlgoFamily {
 /// which previously made it over-partition sweep-friendly queries.
 pub fn kernel_work_multiplier(q: &JoinQuery) -> f64 {
     use crate::kernel::KernelStrategy::*;
+    // A multi-attribute query has no single-attribute kernel; price it as
+    // the backtracking fallback.
+    let Some(q) = crate::algorithm::SingleAttr::new(q) else {
+        return 1.0;
+    };
     match crate::kernel::planned_kernel(q) {
         // kernel_event_sweep measures the event sweep ~2.9× faster than
         // the dual-window scan on an overlap-heavy clique (4.8ms vs

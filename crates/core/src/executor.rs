@@ -20,6 +20,7 @@
 //! (Gen-Matrix): a scan-based backtracking join with incremental condition
 //! checks, adequate for the cell-sized groups reducers see.
 
+use crate::algorithm::SingleAttr;
 use crate::kernel::{Owner, Sink};
 use ij_interval::{Interval, Time, TupleId};
 use ij_query::JoinQuery;
@@ -199,7 +200,12 @@ pub(crate) fn window(
 ///
 /// # Panics
 /// Panics if `cands` was not [`finish`](Candidates::finish)ed.
-pub fn join_single_attr(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
+pub fn join_single_attr(
+    q: SingleAttr<'_>,
+    cands: &Candidates,
+    owner: &Owner,
+    sink: Sink<'_>,
+) -> u64 {
     crate::kernel::execute(q, cands, owner, sink).work
 }
 
@@ -350,14 +356,24 @@ mod tests {
         let emit = &mut |a: &[(Interval, TupleId)]| {
             got.push(a.iter().map(|(_, t)| *t).collect::<Vec<_>>())
         };
-        join_single_attr(q, cands, &Owner::all(), Sink::Emit(emit));
+        join_single_attr(
+            SingleAttr::new(q).unwrap(),
+            cands,
+            &Owner::all(),
+            Sink::Emit(emit),
+        );
         got.sort();
         got
     }
 
     fn count(q: &JoinQuery, cands: &Candidates, owner: &Owner) -> u64 {
         let mut n = 0;
-        join_single_attr(q, cands, owner, Sink::Count(&mut n));
+        join_single_attr(
+            SingleAttr::new(q).unwrap(),
+            cands,
+            owner,
+            Sink::Count(&mut n),
+        );
         n
     }
 
@@ -431,7 +447,12 @@ mod tests {
         c.push(0, iv(0, 10), 0);
         c.finish();
         let mut n = 0;
-        let work = join_single_attr(&q, &c, &Owner::all(), Sink::Count(&mut n));
+        let work = join_single_attr(
+            SingleAttr::new(&q).unwrap(),
+            &c,
+            &Owner::all(),
+            Sink::Count(&mut n),
+        );
         assert_eq!((work, n), (0, 0));
     }
 
@@ -458,7 +479,12 @@ mod tests {
         c.push(1, iv(5, 20), 1000);
         c.finish();
         let mut outs = 0;
-        let work = join_single_attr(&q, &c, &Owner::all(), Sink::Count(&mut outs));
+        let work = join_single_attr(
+            SingleAttr::new(&q).unwrap(),
+            &c,
+            &Owner::all(),
+            Sink::Count(&mut outs),
+        );
         assert_eq!(outs, 1);
         assert!(
             work < 20,

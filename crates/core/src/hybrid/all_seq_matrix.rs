@@ -53,7 +53,7 @@ impl Algorithm for AllSeqMatrix {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
+        let q = require_single_attr(self.name(), query)?;
         let order = query.start_order();
         if order.contradictory() {
             return Ok(empty_output(self.mode));
@@ -75,7 +75,6 @@ impl Algorithm for AllSeqMatrix {
             .collect();
         let m = query.num_relations() as usize;
         let mode = self.mode;
-        let q = query.clone();
         let partc = part.clone();
         let spacec = space.clone();
         let compsc = comps.clone();
@@ -104,7 +103,7 @@ impl Algorithm for AllSeqMatrix {
                 }
                 cands.finish();
                 let owner = matrix_owner(&compsc, &partc, &coords);
-                kernel::reduce_into(ctx, &q, &cands, &owner, mode, out);
+                kernel::reduce_into(ctx, q, &cands, &owner, mode, out);
             },
         )?;
         chain.push(out.metrics);

@@ -58,7 +58,7 @@ impl Algorithm for Pasm {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
+        let single = require_single_attr(self.name(), query)?;
         let order = query.start_order();
         if order.contradictory() {
             return Ok(empty_output(self.mode));
@@ -98,6 +98,18 @@ impl Algorithm for Pasm {
                 })
             })
             .collect();
+        // A component of a single-attribute query is single-attribute;
+        // the proofs are taken once, before the job.
+        let sub_joins = sub_queries
+            .iter()
+            .map(|s| match s {
+                Some((sq, map)) => Ok(Some((
+                    require_single_attr(self.name(), sq)?,
+                    map.as_slice(),
+                ))),
+                None => Ok(None),
+            })
+            .collect::<Result<Vec<_>, AlgoError>>()?;
         // Per component: the global relation of each local slot, for
         // translating the component join's assignments back.
         let vertex_rels: Vec<Vec<u16>> = comps
@@ -133,7 +145,7 @@ impl Algorithm for Pasm {
                 move |ctx: &mut ReduceCtx, values: &mut ValueStream<IvRec>, out: &mut Vec<u64>| {
                     let k = (ctx.key / p_count) as usize;
                     let p = (ctx.key % p_count) as usize;
-                    let (sq, local_of) = sub_queries[k].as_ref().expect("multi component");
+                    let (sq, local_of) = sub_joins[k].expect("multi component");
                     let mut cands = Candidates::new(sq.num_relations() as usize);
                     for v in values.by_ref() {
                         cands.push(local_of[v.rel.idx()] as usize, v.iv, v.tid);
@@ -172,7 +184,6 @@ impl Algorithm for Pasm {
 
         // ---- Cycle 3: matrix join over pruned relations ---------------------
         let mode = self.mode;
-        let q = query.clone();
         let spacec = space.clone();
         let compsc = comps.clone();
         let m = query.num_relations() as usize;
@@ -210,7 +221,7 @@ impl Algorithm for Pasm {
                 }
                 cands.finish();
                 let owner = matrix_owner(&compsc, &partc, &coords);
-                kernel::reduce_into(ctx, &q, &cands, &owner, mode, out);
+                kernel::reduce_into(ctx, single, &cands, &owner, mode, out);
             },
         )?;
         chain.push(out.metrics);

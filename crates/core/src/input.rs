@@ -9,9 +9,21 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InputError {
     /// Number of relations does not match the query's.
-    WrongRelationCount { expected: u16, got: usize },
+    WrongRelationCount {
+        /// Relations the query names.
+        expected: u16,
+        /// Relations bound.
+        got: usize,
+    },
     /// A relation's arity is smaller than an attribute the query references.
-    MissingAttr { rel: RelId, needed: u16, arity: u16 },
+    MissingAttr {
+        /// The relation that is too narrow.
+        rel: RelId,
+        /// The attribute index the query references.
+        needed: u16,
+        /// The relation's arity.
+        arity: u16,
+    },
 }
 
 impl fmt::Display for InputError {

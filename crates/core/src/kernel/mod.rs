@@ -25,7 +25,8 @@
 //! Allen condition sets (they share the binding-order skeleton and differ
 //! only in the per-level scan strategy), so dispatch is purely a
 //! performance decision — property-tested to produce identical result
-//! sets.
+//! sets. The entry points take a [`SingleAttr`]
+//! proof, so no other query reaches them.
 //!
 //! **One serial call per bucket.** Each reduce worker runs its bucket's
 //! kernel on its own thread, like a Hadoop reduce task; parallelism comes
@@ -61,11 +62,12 @@ mod sweep;
 pub use owner::Owner;
 pub use ranges::{range_pair, RangePair};
 
+use crate::algorithm::SingleAttr;
 use crate::executor::Candidates;
 use crate::output::OutputMode;
 use crate::records::OutRec;
 use ij_interval::{bounds_contain, AllenPredicate, Interval, TupleId};
-use ij_mapreduce::metrics::names;
+use ij_mapreduce::metrics::names::{self, Name};
 use ij_mapreduce::ReduceCtx;
 use ij_query::{JoinQuery, QueryClass};
 use owner::OwnerPlan;
@@ -141,9 +143,8 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// The per-bucket user counter this kernel increments. Valid for
-    /// every kernel kind regardless of predicate class.
-    pub fn counter(self) -> &'static str {
+    /// The per-bucket user counter this kernel increments.
+    pub fn counter(self) -> Name {
         match self {
             KernelKind::Sweep => names::KERNEL_SWEEP_BUCKETS,
             KernelKind::EventSweep => names::KERNEL_EVENT_SWEEP_BUCKETS,
@@ -183,16 +184,15 @@ fn pair_sweep_eligible(q: &JoinQuery) -> bool {
         )
 }
 
-/// The strategy [`execute`] will route `q`'s buckets to. Valid for any
-/// single-attribute query of any predicate class — the mapping depends
-/// only on the condition set.
-pub fn planned_kernel(q: &JoinQuery) -> KernelStrategy {
-    match choose(q) {
+/// The strategy [`execute`] will route `q`'s buckets to. The mapping
+/// depends only on the condition set.
+pub fn planned_kernel(q: SingleAttr<'_>) -> KernelStrategy {
+    match choose(&q) {
         KernelKind::EventSweep => KernelStrategy::EventSweep,
         KernelKind::SortMerge => KernelStrategy::SortMerge,
         KernelKind::Backtrack => KernelStrategy::Backtrack,
         KernelKind::Sweep => {
-            if pair_sweep_eligible(q) {
+            if pair_sweep_eligible(&q) {
                 KernelStrategy::PairSweep
             } else {
                 KernelStrategy::DualWindow
@@ -317,17 +317,21 @@ fn run(
     (work, active_peak)
 }
 
-/// Dispatching kernel execution. Precondition: any single-attribute
-/// query — the dispatcher routes colocation condition sets to the sweep,
-/// sequence sets to sort-merge and mixed Allen sets to the backtracking
-/// fallback.
+/// Dispatching kernel execution: routes colocation condition sets to the
+/// sweep, sequence sets to sort-merge and mixed Allen sets to the
+/// backtracking fallback.
 ///
 /// Only the bindings `owner` admits are enumerated: its groups are start
 /// bounds inside every kernel's windows, not a filter on finished
 /// bindings. `executor::join_single_attr` delegates here.
-pub fn execute(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> KernelReport {
-    let kind = choose(q);
-    let (work, active_peak) = run(kind, q, cands, owner, sink);
+pub fn execute(
+    q: SingleAttr<'_>,
+    cands: &Candidates,
+    owner: &Owner,
+    sink: Sink<'_>,
+) -> KernelReport {
+    let kind = choose(&q);
+    let (work, active_peak) = run(kind, &q, cands, owner, sink);
     KernelReport {
         kind,
         work,
@@ -337,11 +341,11 @@ pub fn execute(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>)
 
 /// Runs a bucket inside a reducer: executes the dispatching kernel,
 /// reports the work units to the cost model and maintains the
-/// `kernel.*` counters. Precondition: any single-attribute query; the
-/// dispatcher picks the kernel by predicate class.
+/// `kernel.*` counters. The dispatcher picks the kernel by predicate
+/// class.
 pub fn reduce_join(
     ctx: &mut ReduceCtx,
-    q: &JoinQuery,
+    q: SingleAttr<'_>,
     cands: &Candidates,
     owner: &Owner,
     sink: Sink<'_>,
@@ -350,7 +354,7 @@ pub fn reduce_join(
     ctx.add_work(rep.work);
     ctx.inc(rep.kind.counter(), 1);
     if rep.active_peak > 0 {
-        // Execution-shape counter (see `ij_mapreduce::is_execution_shape`):
+        // Execution-shape counter (see `Name::is_execution_shape`):
         // the event sweep's peak concurrent-interval count. The engine
         // also records the per-bucket values into the `kernel.active_peak`
         // histogram.
@@ -363,12 +367,11 @@ pub fn reduce_join(
 /// the owned bindings to `out` — one `OutRec::Tuple` each when
 /// materializing, a single `OutRec::Count` when counting (none for an
 /// empty bucket). Records `join.candidates` (the kernel's work units) and
-/// `join.emitted`, identical in both modes. Precondition: any
-/// single-attribute query; the dispatcher picks the kernel by predicate
-/// class.
+/// `join.emitted`, identical in both modes. The dispatcher picks the
+/// kernel by predicate class.
 pub fn reduce_into(
     ctx: &mut ReduceCtx,
-    q: &JoinQuery,
+    q: SingleAttr<'_>,
     cands: &Candidates,
     owner: &Owner,
     mode: OutputMode,
@@ -394,8 +397,8 @@ pub fn reduce_into(
 
 /// Forces the plane-sweep kernel (complete for any single-attribute
 /// query); returns work units. Used by benchmarks and equivalence tests.
-pub fn sweep_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
-    run(KernelKind::Sweep, q, cands, owner, sink).0
+pub fn sweep_join(q: SingleAttr<'_>, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
+    run(KernelKind::Sweep, &q, cands, owner, sink).0
 }
 
 /// Forces the event-list sweep (complete only for colocation condition
@@ -403,26 +406,31 @@ pub fn sweep_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'
 /// `event_sweep::qualifies`); non-qualifying queries fall back to the
 /// plane sweep, which is complete for any single-attribute query.
 /// Returns work units. Used by benchmarks and equivalence tests.
-pub fn event_sweep_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
-    let kind = if event_sweep::qualifies(q) {
+pub fn event_sweep_join(
+    q: SingleAttr<'_>,
+    cands: &Candidates,
+    owner: &Owner,
+    sink: Sink<'_>,
+) -> u64 {
+    let kind = if event_sweep::qualifies(&q) {
         KernelKind::EventSweep
     } else {
         KernelKind::Sweep
     };
-    run(kind, q, cands, owner, sink).0
+    run(kind, &q, cands, owner, sink).0
 }
 
 /// Forces the sort-merge kernel (complete for any single-attribute
 /// query); returns work units.
-pub fn merge_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
-    run(KernelKind::SortMerge, q, cands, owner, sink).0
+pub fn merge_join(q: SingleAttr<'_>, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
+    run(KernelKind::SortMerge, &q, cands, owner, sink).0
 }
 
 /// Forces the windowed backtracking fallback (the pre-kernel
 /// `join_single_attr` semantics, complete for any single-attribute
 /// query including mixed Allen condition sets); returns work units.
-pub fn backtrack_join(q: &JoinQuery, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
-    run(KernelKind::Backtrack, q, cands, owner, sink).0
+pub fn backtrack_join(q: SingleAttr<'_>, cands: &Candidates, owner: &Owner, sink: Sink<'_>) -> u64 {
+    run(KernelKind::Backtrack, &q, cands, owner, sink).0
 }
 
 #[cfg(test)]
@@ -450,7 +458,12 @@ mod tests {
         c
     }
 
-    type Forced = fn(&JoinQuery, &Candidates, &Owner, Sink<'_>) -> u64;
+    /// The single-attribute proof for a test query.
+    fn sa(q: &JoinQuery) -> SingleAttr<'_> {
+        SingleAttr::new(q).unwrap()
+    }
+
+    type Forced = fn(SingleAttr<'_>, &Candidates, &Owner, Sink<'_>) -> u64;
 
     /// Sorted bindings from `kernel` with no owner.
     fn collect(kernel: Forced, q: &JoinQuery, c: &Candidates) -> Vec<Vec<TupleId>> {
@@ -458,7 +471,7 @@ mod tests {
         let emit = &mut |a: &[(Interval, TupleId)]| {
             got.push(a.iter().map(|(_, t)| *t).collect::<Vec<_>>())
         };
-        kernel(q, c, &Owner::all(), Sink::Emit(emit));
+        kernel(sa(q), c, &Owner::all(), Sink::Emit(emit));
         got.sort();
         got
     }
@@ -490,11 +503,11 @@ mod tests {
         // Pair-eligible queries keep the pair-sweep fast path.
         let pair = JoinQuery::chain(&[Overlaps]).unwrap();
         assert_eq!(choose(&pair), KernelKind::Sweep);
-        assert_eq!(planned_kernel(&pair), KernelStrategy::PairSweep);
-        assert_eq!(planned_kernel(&coloc), KernelStrategy::DualWindow);
-        assert_eq!(planned_kernel(&clique), KernelStrategy::EventSweep);
-        assert_eq!(planned_kernel(&seq), KernelStrategy::SortMerge);
-        assert_eq!(planned_kernel(&mixed), KernelStrategy::Backtrack);
+        assert_eq!(planned_kernel(sa(&pair)), KernelStrategy::PairSweep);
+        assert_eq!(planned_kernel(sa(&coloc)), KernelStrategy::DualWindow);
+        assert_eq!(planned_kernel(sa(&clique)), KernelStrategy::EventSweep);
+        assert_eq!(planned_kernel(sa(&seq)), KernelStrategy::SortMerge);
+        assert_eq!(planned_kernel(sa(&mixed)), KernelStrategy::Backtrack);
     }
 
     /// A satisfiable 3-clique: r0 ov r1, r1 ⊇ r2, r0 ov r2 — e.g.
@@ -530,10 +543,13 @@ mod tests {
         let q = clique3();
         let c = random_cands(3, 30, 5);
         let mut ctx = ReduceCtx::new(0);
-        let rep = reduce_join(&mut ctx, &q, &c, &Owner::all(), Sink::Count(&mut 0));
+        let rep = reduce_join(&mut ctx, sa(&q), &c, &Owner::all(), Sink::Count(&mut 0));
         assert_eq!(rep.kind, KernelKind::EventSweep);
-        assert_eq!(ctx.counters().get("kernel.event_sweep_buckets"), 1);
-        assert_eq!(ctx.counters().get("kernel.active_peak"), rep.active_peak);
+        assert_eq!(ctx.counters().get(names::KERNEL_EVENT_SWEEP_BUCKETS), 1);
+        assert_eq!(
+            ctx.counters().get(names::KERNEL_ACTIVE_PEAK),
+            rep.active_peak
+        );
         assert!(rep.active_peak > 0);
     }
 
@@ -557,7 +573,7 @@ mod tests {
         c.push(0, iv(0, 5), 0);
         c.finish();
         let mut n = 0;
-        let rep = execute(&q, &c, &Owner::all(), Sink::Count(&mut n));
+        let rep = execute(sa(&q), &c, &Owner::all(), Sink::Count(&mut n));
         assert_eq!(n, 0);
         assert_eq!(rep.work, 0);
         assert_eq!(rep.kind, KernelKind::Sweep);
@@ -568,8 +584,8 @@ mod tests {
         let q = JoinQuery::chain(&[Overlaps]).unwrap();
         let c = random_cands(2, 30, 3);
         let mut ctx = ReduceCtx::new(0);
-        let rep = reduce_join(&mut ctx, &q, &c, &Owner::all(), Sink::Count(&mut 0));
+        let rep = reduce_join(&mut ctx, sa(&q), &c, &Owner::all(), Sink::Count(&mut 0));
         assert_eq!(ctx.work(), rep.work);
-        assert_eq!(ctx.counters().get("kernel.sweep_buckets"), 1);
+        assert_eq!(ctx.counters().get(names::KERNEL_SWEEP_BUCKETS), 1);
     }
 }

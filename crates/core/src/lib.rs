@@ -16,6 +16,8 @@
 //! All algorithms implement the [`Algorithm`] trait and are verified against
 //! the single-node [`oracle`].
 
+#![deny(missing_docs)]
+
 pub mod algorithm;
 pub mod all_matrix;
 pub mod all_replicate;
@@ -34,7 +36,7 @@ pub mod rccis;
 pub mod records;
 pub mod two_way;
 
-pub use algorithm::{Algorithm, PartitionStrategy, RunArtifacts};
+pub use algorithm::{Algorithm, PartitionStrategy, RunArtifacts, SingleAttr};
 pub use input::JoinInput;
 pub use output::{JoinOutput, OutputMode, OutputTuple};
 pub use planner::{plan, PlanConfig};

@@ -71,7 +71,7 @@ impl Algorithm for OneBucketTheta {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
+        let q = require_single_attr(self.name(), query)?;
         if query.num_relations() != 2 {
             return Err(AlgoError::Unsupported {
                 algorithm: self.name(),
@@ -86,7 +86,6 @@ impl Algorithm for OneBucketTheta {
         }
         let (rows, cols, seed) = (self.rows as u64, self.cols as u64, self.seed);
         let mode = self.mode;
-        let q = query.clone();
         let out = engine.run_job(
             "one-bucket-theta",
             &iv_records(input),
@@ -112,7 +111,7 @@ impl Algorithm for OneBucketTheta {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                kernel::reduce_into(ctx, &q, &cands, &Owner::all(), mode, out);
+                kernel::reduce_into(ctx, q, &cands, &Owner::all(), mode, out);
             },
         )?;
         let mut chain = JobChain::new();
@@ -243,13 +242,13 @@ mod tests {
         let c = out.chain.total_counters();
         // Every left tuple is copied to all 4 columns, every right tuple to
         // all 3 rows — exactly, by construction.
-        assert_eq!(c.get("onebucket.row_copies"), 50 * 4);
-        assert_eq!(c.get("onebucket.col_copies"), 70 * 3);
+        assert_eq!(c.get(names::ONEBUCKET_ROW_COPIES), 50 * 4);
+        assert_eq!(c.get(names::ONEBUCKET_COL_COPIES), 70 * 3);
         assert_eq!(
-            c.get("onebucket.row_copies") + c.get("onebucket.col_copies"),
+            c.get(names::ONEBUCKET_ROW_COPIES) + c.get(names::ONEBUCKET_COL_COPIES),
             out.chain.total_pairs()
         );
-        assert!(c.get("join.candidates") >= c.get("join.emitted"));
+        assert!(c.get(names::JOIN_CANDIDATES) >= c.get(names::JOIN_EMITTED));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The generic single-node oracle.
 
+use crate::algorithm::SingleAttr;
 use crate::executor::{join_single_attr, join_tuples, Candidates};
 use crate::input::JoinInput;
 use crate::kernel::{Owner, Sink};
 use crate::output::OutputTuple;
 use ij_interval::TupleId;
-use ij_query::{JoinQuery, QueryClass};
+use ij_query::JoinQuery;
 
 /// Computes the exact join output on a single node, sorted canonically.
 ///
@@ -18,7 +19,20 @@ use ij_query::{JoinQuery, QueryClass};
 /// they manifest as missing or duplicated tuples).
 pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
     let mut out: Vec<OutputTuple> = Vec::new();
-    if q.class() == QueryClass::General {
+    if let Some(single) = SingleAttr::new(q) {
+        let m = q.num_relations() as usize;
+        let mut cands = Candidates::new(m);
+        for (r, rel) in input.relations().iter().enumerate() {
+            for t in rel.tuples() {
+                cands.push(r, t.interval(), t.id);
+            }
+        }
+        cands.finish();
+        let emit = &mut |a: &[(ij_interval::Interval, TupleId)]| {
+            out.push(a.iter().map(|(_, tid)| *tid).collect());
+        };
+        join_single_attr(single, &cands, &Owner::all(), Sink::Emit(emit));
+    } else {
         let lists: Vec<Vec<(TupleId, Vec<ij_interval::Interval>)>> = input
             .relations()
             .iter()
@@ -32,19 +46,6 @@ pub fn oracle_join(q: &JoinQuery, input: &JoinInput) -> Vec<OutputTuple> {
                 out.push(a.iter().map(|(tid, _)| *tid).collect());
             },
         );
-    } else {
-        let m = q.num_relations() as usize;
-        let mut cands = Candidates::new(m);
-        for (r, rel) in input.relations().iter().enumerate() {
-            for t in rel.tuples() {
-                cands.push(r, t.interval(), t.id);
-            }
-        }
-        cands.finish();
-        let emit = &mut |a: &[(ij_interval::Interval, TupleId)]| {
-            out.push(a.iter().map(|(_, tid)| *tid).collect());
-        };
-        join_single_attr(q, &cands, &Owner::all(), Sink::Emit(emit));
     }
     out.sort_unstable();
     out

@@ -1,7 +1,7 @@
 //! The two MR cycles of RCCIS.
 
 use crate::algorithm::{
-    empty_output, iv_records, require_single_attr, AlgoError, Algorithm, RunArtifacts,
+    empty_output, iv_records, require_single_attr, AlgoError, Algorithm, RunArtifacts, SingleAttr,
 };
 use crate::executor::Candidates;
 use crate::input::JoinInput;
@@ -51,7 +51,7 @@ impl Algorithm for Rccis {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
+        let single = require_single_attr(self.name(), query)?;
         if query.class() == QueryClass::Sequence || query.class() == QueryClass::Hybrid {
             // Sequence predicates force replicating everything — "RCCIS
             // hence reduces to All-Rep" (Section 7). We reject instead of
@@ -82,7 +82,7 @@ impl Algorithm for Rccis {
 
         // ---- Cycle 2: replicate flagged / project rest; join; own-filter --
         let flags = dfs.read::<FlagRec>("rccis/flags").expect("just written");
-        let records = run_join_cycle(query, &part, &flags, self.mode, engine, &mut chain)?;
+        let records = run_join_cycle(single, &part, &flags, self.mode, engine, &mut chain)?;
 
         let mut out = JoinOutput::from_records(self.mode, records, chain);
         out.stats.replicated_intervals = Some(replicated);
@@ -158,7 +158,7 @@ pub(crate) fn run_marking_cycle(
 /// Cycle 2: route by flag, join, and emit owned tuples (max start point in
 /// the reducer's partition).
 pub(crate) fn run_join_cycle(
-    query: &JoinQuery,
+    query: SingleAttr<'_>,
     part: &Partitioning,
     flags: &[FlagRec],
     mode: OutputMode,
@@ -166,7 +166,6 @@ pub(crate) fn run_join_cycle(
     chain: &mut JobChain,
 ) -> Result<Vec<OutRec>, AlgoError> {
     let m = query.num_relations() as usize;
-    let q = query.clone();
     let partc = part.clone();
     let out = engine.run_job(
         "rccis-join",
@@ -198,7 +197,7 @@ pub(crate) fn run_join_cycle(
             }
             cands.finish();
             let owner = Owner::all().with_group(0..m, &partc, ctx.key as usize);
-            kernel::reduce_into(ctx, &q, &cands, &owner, mode, out);
+            kernel::reduce_into(ctx, query, &cands, &owner, mode, out);
         },
     )?;
     chain.push(out.metrics);
@@ -361,20 +360,23 @@ mod tests {
         let out = Rccis::new(8).run(&q, &input, &engine()).unwrap();
         let c = out.chain.total_counters();
         // Cycle 1 splits every record at least once.
-        assert!(c.get("rccis.split_pairs") >= 360);
-        assert!(c.get("rccis.crossing_intervals") > 0);
+        assert!(c.get(names::RCCIS_SPLIT_PAIRS) >= 360);
+        assert!(c.get(names::RCCIS_CROSSING_INTERVALS) > 0);
         // Cycle 2 routes the marking's verdicts; the flagged count matches
         // the replication stat the algorithm already reports.
         assert_eq!(
-            c.get("rccis.flagged_intervals"),
+            c.get(names::RCCIS_FLAGGED_INTERVALS),
             out.stats.replicated_intervals.unwrap()
         );
-        assert!(c.get("rccis.projected_pairs") > 0);
+        assert!(c.get(names::RCCIS_PROJECTED_PAIRS) > 0);
         // The join examined at least as many candidates as it emitted.
-        assert!(c.get("join.candidates") >= c.get("join.emitted"));
-        assert!(c.get("join.emitted") > 0);
+        assert!(c.get(names::JOIN_CANDIDATES) >= c.get(names::JOIN_EMITTED));
+        assert!(c.get(names::JOIN_EMITTED) > 0);
         // Per-cycle attribution: split counters live in cycle 1 only.
-        assert_eq!(out.chain.cycles[1].counters.get("rccis.split_pairs"), 0);
+        assert_eq!(
+            out.chain.cycles[1].counters.get(names::RCCIS_SPLIT_PAIRS),
+            0
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl Algorithm for TwoWayJoin {
         input: &JoinInput,
         engine: &Engine,
     ) -> Result<JoinOutput, AlgoError> {
-        require_single_attr(self.name(), query)?;
+        let q = require_single_attr(self.name(), query)?;
         if query.num_relations() != 2 {
             return Err(AlgoError::Unsupported {
                 algorithm: self.name(),
@@ -76,7 +76,6 @@ impl Algorithm for TwoWayJoin {
         };
 
         let mode = self.mode;
-        let q = query.clone();
         let partc = part.clone();
         let out = engine.run_job(
             "2way-join",
@@ -92,7 +91,7 @@ impl Algorithm for TwoWayJoin {
                     cands.push(v.rel.idx(), v.iv, v.tid);
                 }
                 cands.finish();
-                kernel::reduce_into(ctx, &q, &cands, &Owner::all(), mode, out);
+                kernel::reduce_into(ctx, q, &cands, &Owner::all(), mode, out);
             },
         )?;
 

@@ -16,7 +16,7 @@
 use ij_core::executor::Candidates;
 use ij_core::kernel::{self, Owner, Sink};
 use ij_core::oracle::oracle_join;
-use ij_core::JoinInput;
+use ij_core::{JoinInput, SingleAttr};
 use ij_interval::{AllenPredicate, Interval, Partitioning, Relation, TupleId};
 use ij_query::{Condition, JoinQuery};
 use proptest::prelude::*;
@@ -66,13 +66,18 @@ const KERNELS: [(&str, Kernel); 5] = [
     ("event sweep", kernel::event_sweep_join),
 ];
 
-type Kernel = fn(&JoinQuery, &Candidates, &Owner, Sink<'_>) -> u64;
+type Kernel = fn(SingleAttr<'_>, &Candidates, &Owner, Sink<'_>) -> u64;
+
+/// The single-attribute proof every generated query carries.
+fn single(q: &JoinQuery) -> SingleAttr<'_> {
+    SingleAttr::new(q).expect("single-attribute query")
+}
 
 /// Sorted bindings `run` emits under `owner`.
 fn emitted(run: Kernel, q: &JoinQuery, cands: &Candidates, owner: &Owner) -> Vec<Vec<TupleId>> {
     let mut got: Vec<Vec<TupleId>> = Vec::new();
     let emit = &mut |a: &[(Interval, TupleId)]| got.push(a.iter().map(|(_, t)| *t).collect());
-    run(q, cands, owner, Sink::Emit(emit));
+    run(single(q), cands, owner, Sink::Emit(emit));
     got.sort();
     got
 }
@@ -285,7 +290,7 @@ proptest! {
         };
         // Every binding, with its intervals, for the rule to judge.
         let mut all: Vec<Vec<(Interval, TupleId)>> = Vec::new();
-        kernel::execute(&q, &cands, &Owner::all(), Sink::Emit(&mut |a| all.push(a.to_vec())));
+        kernel::execute(single(&q), &cands, &Owner::all(), Sink::Emit(&mut |a| all.push(a.to_vec())));
         // Each cell of coordinates (one per group) owns a disjoint share;
         // small cell spaces are covered whole, so the shares must add up.
         let cells = part.len().pow(members.len() as u32);
@@ -314,7 +319,7 @@ proptest! {
                 let got = emitted(run, &q, &cands, &owner);
                 prop_assert_eq!(&got, &reference, "{} emits the wrong set for {}", name, q);
                 let mut count = 0;
-                run(&q, &cands, &owner, Sink::Count(&mut count));
+                run(single(&q), &cands, &owner, Sink::Count(&mut count));
                 prop_assert_eq!(count, reference.len() as u64, "{} miscounts {}", name, q);
             }
         }

@@ -5,6 +5,7 @@
 //! *total* communication, so every algorithm in `ij-core` returns a
 //! [`JobChain`] next to its output.
 
+use crate::metrics::names::Name;
 use crate::metrics::{Counters, JobMetrics};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -105,7 +106,7 @@ impl JobChain {
     }
 
     /// One counter's total across cycles (0 when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub fn counter(&self, name: Name) -> u64 {
         self.cycles.iter().map(|c| c.counters.get(name)).sum()
     }
 }
@@ -113,6 +114,7 @@ impl JobChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::names;
     use crate::metrics::ReducerLoad;
 
     fn cycle(pairs: u64, sim: f64) -> JobMetrics {
@@ -172,19 +174,19 @@ mod tests {
     fn counters_roll_up_across_cycles() {
         let mut chain = JobChain::new();
         let mut a = cycle(10, 1.0);
-        a.counters.inc("replicas", 4);
-        a.counters.inc("crossing", 2);
+        a.counters.inc(names::RCCIS_REPLICA_PAIRS, 4);
+        a.counters.inc(names::RCCIS_CROSSING_INTERVALS, 2);
         let mut b = cycle(20, 1.0);
-        b.counters.inc("replicas", 6);
-        b.counters.inc("emitted", 9);
+        b.counters.inc(names::RCCIS_REPLICA_PAIRS, 6);
+        b.counters.inc(names::JOIN_EMITTED, 9);
         chain.push(a);
         chain.push(b);
         let total = chain.total_counters();
-        assert_eq!(total.get("replicas"), 10);
-        assert_eq!(total.get("crossing"), 2);
-        assert_eq!(total.get("emitted"), 9);
-        assert_eq!(chain.counter("replicas"), 10);
-        assert_eq!(chain.counter("absent"), 0);
+        assert_eq!(total.get(names::RCCIS_REPLICA_PAIRS), 10);
+        assert_eq!(total.get(names::RCCIS_CROSSING_INTERVALS), 2);
+        assert_eq!(total.get(names::JOIN_EMITTED), 9);
+        assert_eq!(chain.counter(names::RCCIS_REPLICA_PAIRS), 10);
+        assert_eq!(chain.counter(names::SPILL_RUNS), 0);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use parking_lot::RwLock;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Error returned by [`Dfs`] operations.
@@ -49,10 +50,29 @@ struct DfsFile {
 ///
 /// Files are write-once (like HDFS); reads return a shared handle without
 /// copying. All accesses update the volume counters.
+///
+/// The namespace is the one lock, and its guards live only inside
+/// `Dfs::with_files` and `Dfs::with_files_mut`: no guard outlives the
+/// closure that reads the map, and there is no second lock to nest it
+/// with. The volume counters
+/// are atomics bumped after the closure returns, so concurrent
+/// `read`/`read_range` calls share the read lock and never serialize on
+/// accounting.
 #[derive(Default)]
 pub struct Dfs {
     files: RwLock<BTreeMap<String, DfsFile>>,
-    stats: RwLock<DfsStats>,
+    io: IoCounters,
+}
+
+/// [`DfsStats`] as relaxed atomics: each field is an independent running
+/// total that publishes no other data.
+#[derive(Default)]
+struct IoCounters {
+    records_written: AtomicU64,
+    bytes_written: AtomicU64,
+    records_read: AtomicU64,
+    bytes_read: AtomicU64,
+    range_reads: AtomicU64,
 }
 
 /// Cumulative I/O volume through a [`Dfs`].
@@ -77,14 +97,21 @@ impl Dfs {
         Dfs::default()
     }
 
+    /// Runs `f` under the namespace's read lock.
+    fn with_files<R>(&self, f: impl FnOnce(&BTreeMap<String, DfsFile>) -> R) -> R {
+        f(&self.files.read())
+    }
+
+    /// Runs `f` under the namespace's write lock.
+    fn with_files_mut<R>(&self, f: impl FnOnce(&mut BTreeMap<String, DfsFile>) -> R) -> R {
+        f(&mut self.files.write())
+    }
+
     /// Writes `records` as the immutable file `path`.
     pub fn write<V: Record>(&self, path: &str, records: Vec<V>) -> Result<(), DfsError> {
         let bytes: u64 = records.iter().map(Record::approx_bytes).sum();
         let count = records.len() as u64;
-        // The namespace guard is released before touching the stats lock:
-        // the two locks are never held together, so no ordering can deadlock.
-        {
-            let mut files = self.files.write();
+        self.with_files_mut(|files| {
             if files.contains_key(path) {
                 return Err(DfsError::AlreadyExists(path.to_string()));
             }
@@ -96,17 +123,16 @@ impl Dfs {
                     count,
                 },
             );
-        }
-        let mut stats = self.stats.write();
-        stats.records_written += count;
-        stats.bytes_written += bytes;
+            Ok(())
+        })?;
+        self.io.records_written.fetch_add(count, Ordering::Relaxed);
+        self.io.bytes_written.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
 
     /// Reads the file at `path`, returning a shared handle to its records.
     pub fn read<V: Record>(&self, path: &str) -> Result<Arc<Vec<V>>, DfsError> {
-        let (records, count, bytes) = {
-            let files = self.files.read();
+        let (records, count, bytes) = self.with_files(|files| {
             let file = files
                 .get(path)
                 .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
@@ -115,11 +141,10 @@ impl Dfs {
                 .clone()
                 .downcast::<Vec<V>>()
                 .map_err(|_| DfsError::WrongType(path.to_string()))?;
-            (records, file.count, file.bytes)
-        };
-        let mut stats = self.stats.write();
-        stats.records_read += count;
-        stats.bytes_read += bytes;
+            Ok((records, file.count, file.bytes))
+        })?;
+        self.io.records_read.fetch_add(count, Ordering::Relaxed);
+        self.io.bytes_read.fetch_add(bytes, Ordering::Relaxed);
         Ok(records)
     }
 
@@ -135,8 +160,7 @@ impl Dfs {
         start: usize,
         len: usize,
     ) -> Result<Vec<V>, DfsError> {
-        let out: Vec<V> = {
-            let files = self.files.read();
+        let out: Vec<V> = self.with_files(|files| {
             let file = files
                 .get(path)
                 .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
@@ -150,38 +174,44 @@ impl Dfs {
                 clippy::indexing_slicing,
                 reason = "start <= end <= records.len() by the clamps above"
             )]
-            records[start..end].to_vec()
-        };
+            Ok(records[start..end].to_vec())
+        })?;
         let bytes: u64 = out.iter().map(Record::approx_bytes).sum();
-        let mut stats = self.stats.write();
-        stats.records_read += out.len() as u64;
-        stats.bytes_read += bytes;
-        stats.range_reads += 1;
+        self.io
+            .records_read
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
+        self.io.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        self.io.range_reads.fetch_add(1, Ordering::Relaxed);
         Ok(out)
     }
 
     /// Removes a file (used by algorithms to clean intermediate results).
     pub fn remove(&self, path: &str) -> Result<(), DfsError> {
-        self.files
-            .write()
-            .remove(path)
+        self.with_files_mut(|files| files.remove(path))
             .map(|_| ())
             .ok_or_else(|| DfsError::NotFound(path.to_string()))
     }
 
     /// Whether a file exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.read().contains_key(path)
+        self.with_files(|files| files.contains_key(path))
     }
 
     /// Lists file paths, sorted.
     pub fn list(&self) -> Vec<String> {
-        self.files.read().keys().cloned().collect()
+        self.with_files(|files| files.keys().cloned().collect())
     }
 
     /// Cumulative I/O counters.
     pub fn stats(&self) -> DfsStats {
-        *self.stats.read()
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        DfsStats {
+            records_written: load(&self.io.records_written),
+            bytes_written: load(&self.io.bytes_written),
+            records_read: load(&self.io.records_read),
+            bytes_read: load(&self.io.bytes_read),
+            range_reads: load(&self.io.range_reads),
+        }
     }
 }
 

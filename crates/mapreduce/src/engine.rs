@@ -44,7 +44,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Cluster shape and cost parameters.
@@ -68,7 +68,7 @@ pub struct ClusterConfig {
     /// streamed back to its reducer on demand. Outputs and data-plane
     /// counters are byte-identical either way (only the `spill.*`
     /// execution-shape counters differ; see
-    /// [`crate::metrics::is_execution_shape`]).
+    /// [`crate::metrics::names::Name::is_execution_shape`]).
     pub reduce_memory_budget: Option<u64>,
     /// Cost-model weights for the simulated cluster time.
     pub cost: CostModel,
@@ -515,9 +515,8 @@ impl Engine {
                 values: parking_lot::Mutex::new(Some(source)),
             })
             .collect();
-        type ResultSlot<O> = parking_lot::Mutex<Option<ReduceResult<O>>>;
-        let result_slots: Vec<ResultSlot<O>> =
-            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+        let result_slots: Vec<OnceLock<ReduceResult<O>>> =
+            (0..n).map(|_| OnceLock::new()).collect();
         let mut panic_payload: Option<Box<dyn Any + Send>> = None;
         let mut worker_error: Option<EngineError> = None;
         let mut worker_events: Vec<TraceEvent> = Vec::new();
@@ -627,18 +626,21 @@ impl Engine {
                                     attempts,
                                 };
                                 let ReduceCtx { counters, .. } = ctx;
+                                let result = ReduceResult {
+                                    key: slot.key,
+                                    out,
+                                    load,
+                                    counters,
+                                    event,
+                                };
                                 #[expect(
                                     clippy::indexing_slicing,
                                     reason = "i < n == result_refs.len(), since slots.get(i) succeeded"
                                 )]
-                                {
-                                    *result_refs[i].lock() = Some(ReduceResult {
-                                        key: slot.key,
-                                        out,
-                                        load,
-                                        counters,
-                                        event,
-                                    });
+                                if result_refs[i].set(result).is_err() {
+                                    return Err(EngineError::Internal(
+                                        "reduce result set twice",
+                                    ));
                                 }
                                 buckets_run += 1;
                                 break;
@@ -684,7 +686,7 @@ impl Engine {
         // keeps every reducer that finished.
         let mut finished: Vec<ReduceResult<O>> = result_slots
             .into_iter()
-            .filter_map(parking_lot::Mutex::into_inner)
+            .filter_map(OnceLock::into_inner)
             .collect();
         obs.record_batch(finished.iter_mut().filter_map(|r| r.event.take()).collect());
         obs.record_batch(worker_events);
@@ -1167,23 +1169,23 @@ mod tests {
                 "counted",
                 &(0..100u64).collect::<Vec<_>>(),
                 |&n: &u64, e: &mut Emitter<u64>| {
-                    e.inc("map.seen", 1);
+                    e.inc(names::PROGRESS_MAP_RECORDS, 1);
                     if n % 2 == 0 {
-                        e.inc("map.even", 1);
+                        e.inc(names::JOIN_CANDIDATES, 1);
                     }
                     e.emit(n % 4, n);
                 },
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                    ctx.inc("reduce.values", vs.len() as u64);
+                    ctx.inc(names::REDUCE_BUCKET_PAIRS, vs.len() as u64);
                     out.push((ctx.key, vs.sum()));
                 },
             )
             .unwrap();
         let c = &out.metrics.counters;
-        assert_eq!(c.get("map.seen"), 100);
-        assert_eq!(c.get("map.even"), 50);
-        assert_eq!(c.get("reduce.values"), 100);
-        assert_eq!(c.get("absent"), 0);
+        assert_eq!(c.get(names::PROGRESS_MAP_RECORDS), 100);
+        assert_eq!(c.get(names::JOIN_CANDIDATES), 50);
+        assert_eq!(c.get(names::REDUCE_BUCKET_PAIRS), 100);
+        assert_eq!(c.get(names::SCHED_GRANTS), 0);
     }
 
     #[test]
@@ -1200,11 +1202,11 @@ mod tests {
                 "cdet",
                 &input,
                 |&n: &u64, e: &mut Emitter<u64>| {
-                    e.inc("pairs", 1 + (n % 3));
+                    e.inc(names::JOIN_CANDIDATES, 1 + (n % 3));
                     e.emit(n % 7, n);
                 },
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| {
-                    ctx.inc("groups", 1);
+                    ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                     out.push(vs.len() as u64);
                 },
             )
@@ -1362,11 +1364,11 @@ mod tests {
             "spilly",
             &input,
             |&n: &u64, e: &mut Emitter<u64>| {
-                e.inc("map.seen", 1);
+                e.inc(names::PROGRESS_MAP_RECORDS, 1);
                 e.emit(n % 3, n);
             },
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                ctx.inc("groups", 1);
+                ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                 out.push((ctx.key, vs.sum()));
             },
         )
@@ -1376,7 +1378,7 @@ mod tests {
     #[test]
     fn tiny_budget_spills_and_matches_unlimited() {
         let base = spill_job(&budgeted_engine(None, 3));
-        assert_eq!(base.metrics.counters.get("spill.buckets"), 0);
+        assert_eq!(base.metrics.counters.get(names::SPILL_BUCKETS), 0);
         assert_eq!(base.metrics.spill_wall, Duration::ZERO);
         for budget in [64, 1024] {
             for threads in [1, 2, 8] {
@@ -1388,14 +1390,14 @@ mod tests {
                 assert_eq!(out.metrics.reducer_loads, base.metrics.reducer_loads);
                 // Every non-spill counter must match the unlimited run.
                 for (k, v) in out.metrics.counters.iter() {
-                    if !crate::metrics::is_execution_shape(k) {
+                    if !k.is_execution_shape() {
                         assert_eq!(v, base.metrics.counters.get(k), "counter {k}");
                     }
                 }
-                let spilled = out.metrics.counters.get("spill.buckets");
+                let spilled = out.metrics.counters.get(names::SPILL_BUCKETS);
                 assert_eq!(spilled, 3, "all three ~1KiB buckets overflow {budget}");
-                assert!(out.metrics.counters.get("spill.runs") >= spilled);
-                assert!(out.metrics.counters.get("spill.bytes") > 0);
+                assert!(out.metrics.counters.get(names::SPILL_RUNS) >= spilled);
+                assert!(out.metrics.counters.get(names::SPILL_BYTES) > 0);
             }
         }
     }
@@ -1415,8 +1417,8 @@ mod tests {
     #[test]
     fn generous_budget_stays_in_memory() {
         let out = spill_job(&budgeted_engine(Some(1 << 20), 3));
-        assert_eq!(out.metrics.counters.get("spill.buckets"), 0);
-        assert_eq!(out.metrics.counters.get("spill.runs"), 0);
+        assert_eq!(out.metrics.counters.get(names::SPILL_BUCKETS), 0);
+        assert_eq!(out.metrics.counters.get(names::SPILL_RUNS), 0);
         assert_eq!(out.metrics.spill_wall, Duration::ZERO);
     }
 
@@ -1436,8 +1438,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.outputs, input);
-        assert_eq!(out.metrics.counters.get("spill.buckets"), 1);
-        assert!(out.metrics.counters.get("spill.runs") > 1);
+        assert_eq!(out.metrics.counters.get(names::SPILL_BUCKETS), 1);
+        assert!(out.metrics.counters.get(names::SPILL_RUNS) > 1);
     }
 
     #[test]

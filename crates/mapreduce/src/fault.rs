@@ -53,14 +53,19 @@ impl FaultPlan {
     /// Consumes one planned failure for `(job, key)` if any remain.
     /// Returns `true` when the attempt should fail.
     pub fn should_fail(&self, job: &str, key: ReducerId) -> bool {
-        let mut map = self.failures.lock();
-        if let Some(remaining) = map.get_mut(&(job.to_string(), key)) {
-            if *remaining > 0 {
+        self.with_failures(|failures| match failures.get_mut(&(job.to_string(), key)) {
+            Some(remaining) if *remaining > 0 => {
                 *remaining -= 1;
-                return true;
+                true
             }
-        }
-        false
+            _ => false,
+        })
+    }
+
+    /// Runs `f` on the remaining-failure map under its lock — the only
+    /// place the lock is taken, so no guard outlives the closure.
+    fn with_failures<R>(&self, f: impl FnOnce(&mut BTreeMap<(String, ReducerId), u32>) -> R) -> R {
+        f(&mut self.failures.lock())
     }
 }
 

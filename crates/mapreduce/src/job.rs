@@ -8,6 +8,7 @@
 //! for reducer compute (e.g. candidate pairs examined by a join).
 
 use crate::dfs::DfsError;
+use crate::metrics::names::Name;
 use crate::metrics::Counters;
 use crate::record::Record;
 use crate::spill::{RunCursor, SpilledBucket};
@@ -73,7 +74,7 @@ impl<M> Emitter<M> {
     /// Adds `delta` to the user counter `name` (Hadoop-style; merged
     /// across workers into [`crate::JobMetrics::counters`]).
     #[inline]
-    pub fn inc(&mut self, name: &str, delta: u64) {
+    pub fn inc(&mut self, name: Name, delta: u64) {
         self.counters.inc(name, delta);
     }
 
@@ -154,7 +155,7 @@ impl ReduceCtx {
     /// Adds `delta` to the user counter `name` (Hadoop-style; merged
     /// across reducers into [`crate::JobMetrics::counters`]).
     #[inline]
-    pub fn inc(&mut self, name: &str, delta: u64) {
+    pub fn inc(&mut self, name: Name, delta: u64) {
         self.counters.inc(name, delta);
     }
 
@@ -347,6 +348,7 @@ pub fn route_all_to_one<I: Record>(record: &I, out: &mut Emitter<I>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::names;
 
     #[test]
     fn emitter_collects_pairs() {
@@ -391,18 +393,18 @@ mod tests {
     #[test]
     fn contexts_accumulate_counters() {
         let mut e: Emitter<u32> = Emitter::new();
-        e.inc("replicas", 3);
-        e.inc("replicas", 2);
-        e.inc("crossing", 1);
-        assert_eq!(e.counters().get("replicas"), 5);
+        e.inc(names::RCCIS_REPLICA_PAIRS, 3);
+        e.inc(names::RCCIS_REPLICA_PAIRS, 2);
+        e.inc(names::RCCIS_CROSSING_INTERVALS, 1);
+        assert_eq!(e.counters().get(names::RCCIS_REPLICA_PAIRS), 5);
         let (_, counters) = e.finish();
-        assert_eq!(counters.get("crossing"), 1);
+        assert_eq!(counters.get(names::RCCIS_CROSSING_INTERVALS), 1);
 
         let mut ctx = ReduceCtx::new(0);
-        ctx.inc("candidates", 10);
-        ctx.inc("emitted", 4);
-        assert_eq!(ctx.counters().get("candidates"), 10);
-        assert_eq!(ctx.counters().get("emitted"), 4);
+        ctx.inc(names::JOIN_CANDIDATES, 10);
+        ctx.inc(names::JOIN_EMITTED, 4);
+        assert_eq!(ctx.counters().get(names::JOIN_CANDIDATES), 10);
+        assert_eq!(ctx.counters().get(names::JOIN_EMITTED), 4);
     }
 
     #[test]

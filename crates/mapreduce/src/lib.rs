@@ -89,7 +89,7 @@ pub use fault::FaultPlan;
 pub use job::{
     BucketSource, Emitter, MapCtx, Mapper, ReduceCtx, Reducer, ReducerId, SortedRun, ValueStream,
 };
-pub use metrics::{is_execution_shape, Counters, JobMetrics, ReducerLoad, SkewReport};
+pub use metrics::{Counters, JobMetrics, ReducerLoad, SkewReport};
 pub use record::Record;
 pub use spill::{SpillStats, SpilledBucket};
 pub use telemetry::{Clock, Histogram, MonotonicClock, TelemetrySnapshot, VirtualClock};

@@ -8,31 +8,24 @@
 
 pub mod names;
 
-pub use names::is_execution_shape;
-
 use crate::job::ReducerId;
+use names::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-#[cfg(test)]
-thread_local! {
-    /// Counts key-`String` allocations made by [`Counters::inc`] misses —
-    /// lets the micro-test below pin that the hit path allocates nothing.
-    static KEY_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Hadoop-style user-defined counters: named `u64` totals incremented by
-/// mappers (via [`crate::Emitter::inc`]) and reducers (via
+/// Hadoop-style user-defined counters: registered-[`Name`] `u64` totals
+/// incremented by mappers (via [`crate::Emitter::inc`]) and reducers (via
 /// [`crate::ReduceCtx::inc`]), merged across workers by the engine.
 ///
 /// Merging is a per-name sum, so it is associative and commutative — the
 /// merged totals are identical for every `worker_threads` count (the
 /// property pinned by `tests/counters.rs`). Iteration order is the sorted
-/// name order (`BTreeMap`), so serialized output is deterministic too.
+/// name order (`BTreeMap` over [`Name`]'s string order), so serialized
+/// output is deterministic too.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
-    totals: BTreeMap<String, u64>,
+    totals: BTreeMap<Name, u64>,
 }
 
 impl Counters {
@@ -41,35 +34,27 @@ impl Counters {
         Counters::default()
     }
 
-    /// Adds `delta` to the counter `name` (creating it at 0 first). The
-    /// hit path is a single lookup with no key allocation; only the first
-    /// increment of a name allocates its `String`.
+    /// Adds `delta` to the counter `name` (creating it at 0 first).
     #[inline]
-    pub fn inc(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.totals.get_mut(name) {
-            *v += delta;
-        } else {
-            #[cfg(test)]
-            KEY_ALLOCS.with(|c| c.set(c.get() + 1));
-            self.totals.insert(name.to_string(), delta);
-        }
+    pub fn inc(&mut self, name: Name, delta: u64) {
+        *self.totals.entry(name).or_insert(0) += delta;
     }
 
     /// The counter's total, or 0 if it was never incremented.
-    pub fn get(&self, name: &str) -> u64 {
-        self.totals.get(name).copied().unwrap_or(0)
+    pub fn get(&self, name: Name) -> u64 {
+        self.totals.get(&name).copied().unwrap_or(0)
     }
 
     /// Merges another counter map into this one (per-name sum).
     pub fn merge(&mut self, other: &Counters) {
-        for (name, v) in &other.totals {
-            self.inc(name, *v);
+        for (&name, &v) in &other.totals {
+            self.inc(name, v);
         }
     }
 
     /// Iterates `(name, total)` in sorted name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.totals.iter().map(|(k, v)| (k.as_str(), *v))
+    pub fn iter(&self) -> impl Iterator<Item = (Name, u64)> + '_ {
+        self.totals.iter().map(|(&k, &v)| (k, v))
     }
 
     /// Number of distinct counters.
@@ -89,7 +74,7 @@ impl Serialize for Counters {
         serde::Value::Object(
             self.totals
                 .iter()
-                .map(|(k, v)| (k.clone(), serde::Value::UInt(*v)))
+                .map(|(k, v)| (k.as_str().to_string(), serde::Value::UInt(*v)))
                 .collect(),
         )
     }
@@ -363,16 +348,17 @@ mod tests {
 
     #[test]
     fn counters_sum_and_merge_associatively() {
+        use names::{JOIN_CANDIDATES, JOIN_EMITTED, RCCIS_CROSSING_INTERVALS};
         let mut a = Counters::new();
-        a.inc("pairs", 3);
-        a.inc("pairs", 4);
-        a.inc("replicas", 1);
-        assert_eq!(a.get("pairs"), 7);
-        assert_eq!(a.get("missing"), 0);
+        a.inc(JOIN_EMITTED, 3);
+        a.inc(JOIN_EMITTED, 4);
+        a.inc(JOIN_CANDIDATES, 1);
+        assert_eq!(a.get(JOIN_EMITTED), 7);
+        assert_eq!(a.get(names::SPILL_RUNS), 0);
 
         let mut b = Counters::new();
-        b.inc("pairs", 10);
-        b.inc("crossing", 2);
+        b.inc(JOIN_EMITTED, 10);
+        b.inc(RCCIS_CROSSING_INTERVALS, 2);
 
         // (a ⊕ b) == (b ⊕ a): merge is commutative.
         let mut ab = a.clone();
@@ -380,11 +366,15 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.get("pairs"), 17);
+        assert_eq!(ab.get(JOIN_EMITTED), 17);
         assert_eq!(ab.len(), 3);
         assert_eq!(
             ab.iter().collect::<Vec<_>>(),
-            vec![("crossing", 2), ("pairs", 17), ("replicas", 1)],
+            vec![
+                (JOIN_CANDIDATES, 1),
+                (JOIN_EMITTED, 17),
+                (RCCIS_CROSSING_INTERVALS, 2)
+            ],
             "iteration is sorted by name"
         );
     }
@@ -392,10 +382,10 @@ mod tests {
     #[test]
     fn counters_serialize_as_object() {
         let mut c = Counters::new();
-        c.inc("b", 2);
-        c.inc("a", 1);
+        c.inc(names::SPILL_RUNS, 2);
+        c.inc(names::JOIN_EMITTED, 1);
         let json = serde_json::to_string(&c).unwrap();
-        assert_eq!(json, r#"{"a":1,"b":2}"#);
+        assert_eq!(json, r#"{"join.emitted":1,"spill.runs":2}"#);
     }
 
     #[test]
@@ -479,30 +469,12 @@ mod tests {
 
     #[test]
     fn execution_shape_counters_are_classified() {
-        assert!(is_execution_shape("kernel.active_peak"));
-        assert!(is_execution_shape("spill.buckets"));
-        assert!(is_execution_shape("spill.runs"));
-        assert!(is_execution_shape("spill.bytes"));
-        assert!(!is_execution_shape("kernel.candidates"));
-        assert!(!is_execution_shape("replicas"));
-    }
-
-    #[test]
-    fn counter_inc_hit_path_does_not_allocate_keys() {
-        let mut c = Counters::new();
-        let before = KEY_ALLOCS.with(std::cell::Cell::get);
-        c.inc("hot.counter", 1);
-        for _ in 0..1000 {
-            c.inc("hot.counter", 1);
-        }
-        let allocs = KEY_ALLOCS.with(std::cell::Cell::get) - before;
-        assert_eq!(allocs, 1, "only the first inc of a name allocates");
-        assert_eq!(c.get("hot.counter"), 1001);
-        // A second distinct name costs exactly one more allocation.
-        c.inc("other", 5);
-        c.inc("other", 5);
-        let allocs = KEY_ALLOCS.with(std::cell::Cell::get) - before;
-        assert_eq!(allocs, 2);
+        assert!(names::KERNEL_ACTIVE_PEAK.is_execution_shape());
+        assert!(names::SPILL_BUCKETS.is_execution_shape());
+        assert!(names::SPILL_RUNS.is_execution_shape());
+        assert!(names::SPILL_BYTES.is_execution_shape());
+        assert!(!names::JOIN_CANDIDATES.is_execution_shape());
+        assert!(!names::ALLREP_REPLICA_PAIRS.is_execution_shape());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! Design constraints, in order:
 //!
 //! 1. **Deterministic output.** The data-plane projection of a
-//!    [`TelemetrySnapshot`] (everything [`crate::is_execution_shape`]
-//!    leaves) must be byte-identical across `worker_threads` and memory
+//!    [`TelemetrySnapshot`] (every name whose
+//!    [`crate::metrics::names::Name::is_execution_shape`] flag is unset) must be byte-identical across `worker_threads` and memory
 //!    budgets, exactly like engine outputs and data-plane
 //!    [`crate::Counters`]. Histograms use fixed log2 bucket bounds, so
 //!    the fold's result does not depend on the order events arrived in.

@@ -8,11 +8,11 @@
 //! equal snapshots always produce byte-identical Prometheus text. The
 //! determinism *audit* compares the [`TelemetrySnapshot::data_plane`]
 //! projection, which strips execution-shape names (anything timing-,
-//! chunking- or spill-layout-dependent) with the same
-//! [`crate::is_execution_shape`] that strips counters.
+//! chunking- or spill-layout-dependent) by the same
+//! [`Name::is_execution_shape`] flag that strips counters.
 
 use super::hist::{bucket_upper_bound, Histogram};
-use crate::metrics::names::{self, is_execution_shape};
+use crate::metrics::names::{self, Name};
 use crate::trace::{spans, SpanKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -20,15 +20,15 @@ use std::fmt::Write as _;
 /// Series and histograms folded from a trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// Scalar series (the `progress.*` gauges), keyed by dotted series
+    /// Scalar series (the `progress.*` gauges), keyed by registered
     /// name.
-    pub series: BTreeMap<String, u64>,
+    pub series: BTreeMap<Name, u64>,
     /// Named log2 histograms (bucket sizes, service times, run bytes).
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: BTreeMap<Name, Histogram>,
 }
 
 /// Every series the fold emits, present at zero on an empty trace.
-const SERIES: [&str; 6] = [
+const SERIES: [Name; 6] = [
     names::PROGRESS_JOBS_STARTED,
     names::PROGRESS_JOBS_FINISHED,
     names::PROGRESS_MAP_RECORDS,
@@ -38,7 +38,7 @@ const SERIES: [&str; 6] = [
 ];
 
 /// Every histogram the fold emits, present (empty) on an empty trace.
-const HISTOGRAMS: [&str; 6] = [
+const HISTOGRAMS: [Name; 6] = [
     names::REDUCE_BUCKET_PAIRS,
     names::SHUFFLE_JOB_BYTES,
     names::MAP_TASK_RECORDS,
@@ -80,11 +80,8 @@ impl TelemetrySnapshot {
     /// * each spill span samples its `bytes` into `spill.run_bytes`.
     pub fn from_events(events: &[TraceEvent]) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot {
-            series: SERIES.iter().map(|n| (n.to_string(), 0)).collect(),
-            histograms: HISTOGRAMS
-                .iter()
-                .map(|n| (n.to_string(), Histogram::new()))
-                .collect(),
+            series: SERIES.iter().map(|&n| (n, 0)).collect(),
+            histograms: HISTOGRAMS.iter().map(|&n| (n, Histogram::new())).collect(),
         };
         let arg = |ev: &TraceEvent, key: &str| ev.get(key).unwrap_or(0);
         for ev in events {
@@ -123,21 +120,21 @@ impl TelemetrySnapshot {
     }
 
     /// Adds `delta` to a series the fold seeded.
-    fn add(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.series.get_mut(name) {
+    fn add(&mut self, name: Name, delta: u64) {
+        if let Some(v) = self.series.get_mut(&name) {
             *v += delta;
         }
     }
 
     /// Records one sample into a histogram the fold seeded.
-    fn sample(&mut self, name: &str, value: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
+    fn sample(&mut self, name: Name, value: u64) {
+        if let Some(h) = self.histograms.get_mut(&name) {
             h.record(value);
         }
     }
 
     /// The snapshot restricted to data-plane names: everything
-    /// execution-shape (see [`is_execution_shape`]) removed. Two
+    /// execution-shape (see [`Name::is_execution_shape`]) removed. Two
     /// runs of the same job must produce byte-identical
     /// [`TelemetrySnapshot::to_prometheus`] output for this projection
     /// regardless of `worker_threads` or memory budget.
@@ -146,14 +143,14 @@ impl TelemetrySnapshot {
             series: self
                 .series
                 .iter()
-                .filter(|(k, _)| !is_execution_shape(k))
-                .map(|(k, v)| (k.clone(), *v))
+                .filter(|(k, _)| !k.is_execution_shape())
+                .map(|(&k, &v)| (k, v))
                 .collect(),
             histograms: self
                 .histograms
                 .iter()
-                .filter(|(k, _)| !is_execution_shape(k))
-                .map(|(k, v)| (k.clone(), v.clone()))
+                .filter(|(k, _)| !k.is_execution_shape())
+                .map(|(&k, v)| (k, v.clone()))
                 .collect(),
         }
     }
@@ -166,12 +163,12 @@ impl TelemetrySnapshot {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(64 * (self.series.len() + self.histograms.len()));
         for (name, value) in &self.series {
-            let pname = prometheus_name(name);
+            let pname = prometheus_name(name.as_str());
             let _ = writeln!(out, "# TYPE {pname} gauge");
             let _ = writeln!(out, "{pname} {value}");
         }
         for (name, hist) in &self.histograms {
-            let pname = prometheus_name(name);
+            let pname = prometheus_name(name.as_str());
             let _ = writeln!(out, "# TYPE {pname} histogram");
             let mut cumulative = 0u64;
             let top = hist.highest_bucket().map_or(0, |i| i + 1);
@@ -197,14 +194,14 @@ mod tests {
 
     fn snap() -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::default();
-        s.series.insert("progress.jobs_started".into(), 2);
-        s.series.insert("progress.map_tasks".into(), 3);
+        s.series.insert(names::PROGRESS_JOBS_STARTED, 2);
+        s.series.insert(names::PROGRESS_MAP_TASKS, 3);
         let mut h = Histogram::new();
         for v in [1u64, 2, 2, 900] {
             h.record(v);
         }
-        s.histograms.insert("reduce.bucket_pairs".into(), h);
-        s.histograms.insert("reduce.service_us".into(), {
+        s.histograms.insert(names::REDUCE_BUCKET_PAIRS, h);
+        s.histograms.insert(names::REDUCE_SERVICE_US, {
             let mut h = Histogram::new();
             h.record(42);
             h
@@ -241,22 +238,22 @@ mod tests {
     #[test]
     fn from_events_folds_counts_args_and_durations() {
         let s = TelemetrySnapshot::from_events(&trace());
-        let series = |n: &str| s.series[n];
-        assert_eq!(series("progress.jobs_started"), 2);
-        assert_eq!(series("progress.jobs_finished"), 1);
-        assert_eq!(series("progress.map_records"), 11);
-        assert_eq!(series("progress.map_tasks"), 2);
-        assert_eq!(series("progress.reducers"), 2);
-        assert_eq!(series("progress.reducers_done"), 2);
-        let hist = |n: &str| &s.histograms[n];
-        assert_eq!(hist("reduce.bucket_pairs").sum(), 10);
-        assert_eq!(hist("reduce.bucket_pairs").count(), 2);
-        assert_eq!(hist("reduce.service_us").sum(), 4);
-        assert_eq!(hist("map.task_records").sum(), 10);
-        assert_eq!(hist("shuffle.job_bytes").sum(), 160);
-        assert_eq!(hist("spill.run_bytes").sum(), 64);
+        let series = |n: Name| s.series[&n];
+        assert_eq!(series(names::PROGRESS_JOBS_STARTED), 2);
+        assert_eq!(series(names::PROGRESS_JOBS_FINISHED), 1);
+        assert_eq!(series(names::PROGRESS_MAP_RECORDS), 11);
+        assert_eq!(series(names::PROGRESS_MAP_TASKS), 2);
+        assert_eq!(series(names::PROGRESS_REDUCERS), 2);
+        assert_eq!(series(names::PROGRESS_REDUCERS_DONE), 2);
+        let hist = |n: Name| &s.histograms[&n];
+        assert_eq!(hist(names::REDUCE_BUCKET_PAIRS).sum(), 10);
+        assert_eq!(hist(names::REDUCE_BUCKET_PAIRS).count(), 2);
+        assert_eq!(hist(names::REDUCE_SERVICE_US).sum(), 4);
+        assert_eq!(hist(names::MAP_TASK_RECORDS).sum(), 10);
+        assert_eq!(hist(names::SHUFFLE_JOB_BYTES).sum(), 160);
+        assert_eq!(hist(names::SPILL_RUN_BYTES).sum(), 64);
         assert_eq!(
-            hist("kernel.active_peak").count(),
+            hist(names::KERNEL_ACTIVE_PEAK).count(),
             1,
             "a zero peak is not sampled"
         );
@@ -278,17 +275,17 @@ mod tests {
     #[test]
     fn data_plane_strips_execution_shape() {
         let d = TelemetrySnapshot::from_events(&trace()).data_plane();
-        assert!(d.series.contains_key("progress.jobs_started"));
-        assert!(!d.series.contains_key("progress.map_tasks"));
-        assert!(d.histograms.contains_key("reduce.bucket_pairs"));
-        assert!(d.histograms.contains_key("shuffle.job_bytes"));
+        assert!(d.series.contains_key(&names::PROGRESS_JOBS_STARTED));
+        assert!(!d.series.contains_key(&names::PROGRESS_MAP_TASKS));
+        assert!(d.histograms.contains_key(&names::REDUCE_BUCKET_PAIRS));
+        assert!(d.histograms.contains_key(&names::SHUFFLE_JOB_BYTES));
         for shape in [
-            "reduce.service_us",
-            "map.task_records",
-            "kernel.active_peak",
-            "spill.run_bytes",
+            names::REDUCE_SERVICE_US,
+            names::MAP_TASK_RECORDS,
+            names::KERNEL_ACTIVE_PEAK,
+            names::SPILL_RUN_BYTES,
         ] {
-            assert!(!d.histograms.contains_key(shape), "{shape}");
+            assert!(!d.histograms.contains_key(&shape), "{shape}");
         }
     }
 
@@ -339,8 +336,9 @@ mod tests {
 
     #[test]
     fn names_are_sanitized() {
+        assert_eq!(prometheus_name("a.b-c/d"), "ij_a_b_c_d");
         let mut s = TelemetrySnapshot::default();
-        s.series.insert("a.b-c/d".into(), 1);
-        assert!(s.to_prometheus().contains("ij_a_b_c_d 1"));
+        s.series.insert(names::PROGRESS_JOBS_STARTED, 1);
+        assert!(s.to_prometheus().contains("ij_progress_jobs_started 1"));
     }
 }

@@ -189,22 +189,28 @@ impl Tracer {
         self.clock.now_nanos() / 1000
     }
 
+    /// Runs `f` on the event buffer under its lock — the only place the
+    /// lock is taken, so no guard outlives the closure.
+    fn with_events<R>(&self, f: impl FnOnce(&mut Vec<TraceEvent>) -> R) -> R {
+        f(&mut self.events.lock())
+    }
+
     /// Records one event (one lock acquisition).
     pub fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+        self.with_events(|events| events.push(event));
     }
 
     /// Appends a worker's batched events (one lock acquisition per batch —
     /// the per-worker-per-phase path).
     pub fn record_batch(&self, batch: Vec<TraceEvent>) {
         if !batch.is_empty() {
-            self.events.lock().extend(batch);
+            self.with_events(|events| events.extend(batch));
         }
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.with_events(|events| events.len())
     }
 
     /// True if nothing has been recorded.
@@ -214,36 +220,38 @@ impl Tracer {
 
     /// A copy of the events recorded so far, in recording order.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        self.with_events(|events| events.clone())
     }
 
     /// Renders the Chrome trace-event JSON (`{"traceEvents": [...]}`) —
     /// open in `chrome://tracing` or Perfetto. All spans are complete
     /// (`"ph": "X"`) events on `pid` 0 with the worker index as `tid`.
     pub fn chrome_trace(&self) -> String {
-        let events = self.events.lock();
-        let mut out = String::with_capacity(events.len() * 96 + 32);
-        out.push_str("{\"traceEvents\":[");
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        self.with_events(|events| {
+            let mut out = String::with_capacity(events.len() * 96 + 32);
+            out.push_str("{\"traceEvents\":[");
+            for (i, ev) in events.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str("\n  ");
+                write_event_json(&mut out, ev);
             }
-            out.push_str("\n  ");
-            write_event_json(&mut out, ev);
-        }
-        out.push_str("\n]}\n");
-        out
+            out.push_str("\n]}\n");
+            out
+        })
     }
 
     /// Renders one JSON object per line (same fields as the Chrome trace).
     pub fn jsonl(&self) -> String {
-        let events = self.events.lock();
-        let mut out = String::with_capacity(events.len() * 96);
-        for ev in events.iter() {
-            write_event_json(&mut out, ev);
-            out.push('\n');
-        }
-        out
+        self.with_events(|events| {
+            let mut out = String::with_capacity(events.len() * 96);
+            for ev in events.iter() {
+                write_event_json(&mut out, ev);
+                out.push('\n');
+            }
+            out
+        })
     }
 
     /// Writes [`Tracer::chrome_trace`] to `path`.

@@ -6,19 +6,20 @@
 //! identical for every `worker_threads` count — the Hadoop counter
 //! contract the algorithms' replica/candidate statistics rely on.
 
+use ij_mapreduce::metrics::names;
 use ij_mapreduce::{ClusterConfig, CostModel, Counters, Emitter, Engine, ReduceCtx, ValueStream};
 use proptest::prelude::*;
 
-/// A small name pool keeps collisions frequent, which is where merge bugs
-/// would hide.
-fn entries_strategy() -> impl Strategy<Value = Vec<(u8, u64)>> {
-    proptest::collection::vec((0u8..6, 0u64..1_000), 0..40)
+/// A small pool of registered names keeps collisions frequent, which is
+/// where merge bugs would hide.
+fn entries_strategy() -> impl Strategy<Value = Vec<(usize, u64)>> {
+    proptest::collection::vec((0usize..6, 0u64..1_000), 0..40)
 }
 
-fn counters_from(entries: &[(u8, u64)]) -> Counters {
+fn counters_from(entries: &[(usize, u64)]) -> Counters {
     let mut c = Counters::new();
-    for (name, delta) in entries {
-        c.inc(&format!("c{name}"), *delta);
+    for &(name, delta) in entries {
+        c.inc(names::ALL[name], delta);
     }
     c
 }
@@ -77,14 +78,15 @@ proptest! {
                 "prop-counters",
                 &input,
                 move |&n: &u64, e: &mut Emitter<u64>| {
-                    e.inc(if n % 2 == 0 { "even" } else { "odd" }, 1 + n % 3);
+                    let name = if n % 2 == 0 { names::JOIN_CANDIDATES } else { names::JOIN_EMITTED };
+                    e.inc(name, 1 + n % 3);
                     for i in 0..1 + n % fanout {
                         e.emit((n + i) % 13, n);
                     }
                 },
                 |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<u64>| {
-                    ctx.inc("groups", 1);
-                    ctx.inc(&format!("bucket{}", ctx.key % 3), vs.len() as u64);
+                    ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
+                    ctx.inc(names::ALL[(ctx.key % 3) as usize], vs.len() as u64);
                     out.push(vs.len() as u64);
                 },
             )

@@ -10,10 +10,9 @@
 //! the in-memory tail left after spilling — the load that `ReducerLoad`,
 //! the skew report and the cost model are built from.
 
-use ij_mapreduce::metrics::names;
+use ij_mapreduce::metrics::names::{self, Name};
 use ij_mapreduce::{
-    is_execution_shape, ClusterConfig, Counters, Emitter, Engine, FaultPlan, JobOutput, ReduceCtx,
-    ValueStream,
+    ClusterConfig, Counters, Emitter, Engine, FaultPlan, JobOutput, ReduceCtx, ValueStream,
 };
 use proptest::prelude::*;
 
@@ -59,7 +58,7 @@ fn run(
                 e.emit(1 + n % 12, n);
             },
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                ctx.inc("groups", 1);
+                ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                 for v in vs.by_ref() {
                     out.push((ctx.key, v));
                 }
@@ -68,11 +67,10 @@ fn run(
         .expect("job survives injected faults within max_attempts")
 }
 
-fn data_plane(counters: &Counters) -> Vec<(String, u64)> {
+fn data_plane(counters: &Counters) -> Vec<(Name, u64)> {
     counters
         .iter()
-        .filter(|(k, _)| !is_execution_shape(k))
-        .map(|(k, v)| (k.to_string(), v))
+        .filter(|(k, _)| !k.is_execution_shape())
         .collect()
 }
 

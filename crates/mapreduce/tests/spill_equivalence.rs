@@ -8,9 +8,9 @@
 //! that equivalence over arbitrary emit patterns: a fan-out mix of
 //! similar-sized buckets and a skewed mix with one dominant hot bucket.
 
+use ij_mapreduce::metrics::names::{self, Name};
 use ij_mapreduce::{
-    is_execution_shape, ClusterConfig, Counters, Emitter, Engine, JobOutput, Mapper, ReduceCtx,
-    ValueStream,
+    ClusterConfig, Counters, Emitter, Engine, JobOutput, Mapper, ReduceCtx, ValueStream,
 };
 use proptest::prelude::*;
 
@@ -64,7 +64,7 @@ fn run(
             input,
             map,
             |ctx: &mut ReduceCtx, vs: &mut ValueStream<u64>, out: &mut Vec<(u64, u64)>| {
-                ctx.inc("groups", 1);
+                ctx.inc(names::PROGRESS_REDUCERS_DONE, 1);
                 for v in vs.by_ref() {
                     out.push((ctx.key, v));
                 }
@@ -75,11 +75,10 @@ fn run(
 
 /// The data-plane slice of a counter set: everything except
 /// execution-shape names (`spill.*`, `kernel.active_peak`).
-fn data_plane(counters: &Counters) -> Vec<(String, u64)> {
+fn data_plane(counters: &Counters) -> Vec<(Name, u64)> {
     counters
         .iter()
-        .filter(|(k, _)| !is_execution_shape(k))
-        .map(|(k, v)| (k.to_string(), v))
+        .filter(|(k, _)| !k.is_execution_shape())
         .collect()
 }
 
@@ -88,7 +87,7 @@ fn data_plane(counters: &Counters) -> Vec<(String, u64)> {
 /// loads, data-plane counters and shuffle volume.
 fn assert_budget_and_thread_invariant(input: &[u64], map: impl Mapper<u64, u64> + Copy) {
     let base = run(input, map, 1, None);
-    assert_eq!(base.metrics.counters.get("spill.buckets"), 0);
+    assert_eq!(base.metrics.counters.get(names::SPILL_BUCKETS), 0);
     for budget in BUDGETS {
         for threads in [1usize, 2, 8] {
             let out = run(input, map, threads, budget);
@@ -141,21 +140,19 @@ proptest! {
         // stream the spiller consumes is itself deterministic.
         let budget = Some(64);
         let base = run(&input, fan_out(fanout), 1, budget);
-        let base_spill: Vec<(String, u64)> = base
+        let base_spill: Vec<(Name, u64)> = base
             .metrics
             .counters
             .iter()
-            .filter(|(k, _)| k.starts_with("spill."))
-            .map(|(k, v)| (k.to_string(), v))
+            .filter(|(k, _)| k.as_str().starts_with("spill."))
             .collect();
         for threads in [2usize, 8] {
             let out = run(&input, fan_out(fanout), threads, budget);
-            let spill: Vec<(String, u64)> = out
+            let spill: Vec<(Name, u64)> = out
                 .metrics
                 .counters
                 .iter()
-                .filter(|(k, _)| k.starts_with("spill."))
-                .map(|(k, v)| (k.to_string(), v))
+                .filter(|(k, _)| k.as_str().starts_with("spill."))
                 .collect();
             prop_assert_eq!(&spill, &base_spill, "threads {}", threads);
         }

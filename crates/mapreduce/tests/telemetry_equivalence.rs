@@ -8,6 +8,7 @@
 //! `data_plane()`. These tests pin that contract, plus the trace a failed
 //! job leaves behind.
 
+use ij_mapreduce::metrics::names;
 use ij_mapreduce::{
     ClusterConfig, Emitter, Engine, EngineError, FaultPlan, JobOutput, ReduceCtx, SpanKind,
     TelemetrySnapshot, Tracer, ValueStream, VirtualClock,
@@ -97,18 +98,24 @@ fn snapshot_folds_progress_from_spans() {
     let input: Vec<u64> = (0..200).collect();
     let (out, tel) = run(&input, 3, 4, None);
     let snap = tel.snapshot();
-    assert_eq!(snap.series["progress.jobs_started"], 1);
-    assert_eq!(snap.series["progress.jobs_finished"], 1);
-    assert_eq!(snap.series["progress.map_records"], 200);
-    assert_eq!(snap.series["progress.map_tasks"], 4);
+    assert_eq!(snap.series[&names::PROGRESS_JOBS_STARTED], 1);
+    assert_eq!(snap.series[&names::PROGRESS_JOBS_FINISHED], 1);
+    assert_eq!(snap.series[&names::PROGRESS_MAP_RECORDS], 200);
+    assert_eq!(snap.series[&names::PROGRESS_MAP_TASKS], 4);
     assert_eq!(
-        snap.series["progress.reducers"],
-        snap.series["progress.reducers_done"]
+        snap.series[&names::PROGRESS_REDUCERS],
+        snap.series[&names::PROGRESS_REDUCERS_DONE]
     );
-    let pairs = snap.histograms.get("reduce.bucket_pairs").expect("hist");
+    let pairs = snap
+        .histograms
+        .get(&names::REDUCE_BUCKET_PAIRS)
+        .expect("hist");
     assert_eq!(pairs.sum(), out.metrics.intermediate_pairs);
     assert_eq!(pairs.count(), out.metrics.distinct_reducers);
-    let service = snap.histograms.get("reduce.service_us").expect("hist");
+    let service = snap
+        .histograms
+        .get(&names::REDUCE_SERVICE_US)
+        .expect("hist");
     assert_eq!(service.count(), out.metrics.distinct_reducers);
 }
 
@@ -174,6 +181,6 @@ fn failed_job_leaves_its_trace() {
         .expect("job span");
     assert_eq!(job.get("failed"), None);
     let snap = TelemetrySnapshot::from_events(&tracer.snapshot());
-    assert_eq!(snap.series["progress.jobs_started"], 1);
-    assert_eq!(snap.series["progress.jobs_finished"], 0);
+    assert_eq!(snap.series[&names::PROGRESS_JOBS_STARTED], 1);
+    assert_eq!(snap.series[&names::PROGRESS_JOBS_FINISHED], 0);
 }

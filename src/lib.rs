@@ -40,6 +40,68 @@
 //! assert_eq!(out.chain.num_cycles(), 2); // RCCIS = marking + join
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+//!
+//! # Invariants the compiler checks
+//!
+//! Metric names and the kernels' single-attribute precondition are types
+//! (DESIGN.md §15). Counters take a registered
+//! [`mapreduce::metrics::names::Name`], and a kernel takes a
+//! [`join::SingleAttr`] proof:
+//!
+//! ```
+//! use interval_joins_mr::join::{executor::Candidates, kernel, SingleAttr};
+//! use interval_joins_mr::mapreduce::{metrics::names, Counters};
+//! use interval_joins_mr::prelude::*;
+//!
+//! let mut counters = Counters::new();
+//! counters.inc(names::SPILL_RUNS, 1);
+//! assert_eq!(counters.get(names::REDUCE_SERVICE_US), 0);
+//!
+//! let query = parse_query("R1 overlaps R2")?;
+//! let mut cands = Candidates::new(2);
+//! cands.finish();
+//! let proof = SingleAttr::new(&query).expect("one attribute per relation");
+//! let mut n = 0;
+//! kernel::execute(proof, &cands, &kernel::Owner::all(), kernel::Sink::Count(&mut n));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! A name the registry does not declare is a type error:
+//!
+//! ```compile_fail,E0308
+//! use interval_joins_mr::mapreduce::Counters;
+//! let mut counters = Counters::new();
+//! counters.inc("spill.rogue", 1);
+//! ```
+//!
+//! So is a literal that spells a registered name instead of naming its
+//! constant:
+//!
+//! ```compile_fail,E0308
+//! use interval_joins_mr::mapreduce::Counters;
+//! let counters = Counters::new();
+//! counters.get("reduce.service_us");
+//! ```
+//!
+//! A `Name` cannot be built outside the registry module:
+//!
+//! ```compile_fail,E0624
+//! use interval_joins_mr::mapreduce::metrics::names::Name;
+//! let rogue = Name::data_plane("spill.rogue");
+//! ```
+//!
+//! And a kernel cannot be handed a query whose single-attribute class was
+//! never checked:
+//!
+//! ```compile_fail,E0308
+//! use interval_joins_mr::join::{executor::Candidates, kernel};
+//! use interval_joins_mr::prelude::*;
+//! let query = parse_query("R1 overlaps R2").unwrap();
+//! let mut cands = Candidates::new(2);
+//! cands.finish();
+//! let mut n = 0;
+//! kernel::execute(&query, &cands, &kernel::Owner::all(), kernel::Sink::Count(&mut n));
+//! ```
 
 pub use ij_core as join;
 pub use ij_datagen as datagen;
